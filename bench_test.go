@@ -124,7 +124,7 @@ func benchPairTable(b *testing.B, run func(experiments.Config) (*experiments.Pai
 	}
 }
 
-func BenchmarkTable6(b *testing.B)  { benchPairTable(b, experiments.Table6) }
+func BenchmarkTable6(b *testing.B) { benchPairTable(b, experiments.Table6) }
 
 // BenchmarkTable6Parallel measures the Monte-Carlo engine's scaling on
 // DefaultConfig-sized inputs (n up to 10⁵, 16 trials per size). The

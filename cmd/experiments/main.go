@@ -1,5 +1,6 @@
 // Command experiments regenerates the paper's evaluation tables
-// (3, 5, 6, 7, 8, 9, 10, 11, 12) at a configurable scale.
+// (3, 5, 6, 7, 8, 9, 10, 11, 12) at a configurable scale, plus the
+// scaling study and the planner validation.
 //
 // Usage:
 //
@@ -10,9 +11,9 @@
 // The default scale runs every table in minutes on a laptop while
 // preserving all qualitative conclusions; -scale paper reproduces the
 // paper's full protocol (hours). -workers parallelizes the Monte-Carlo
-// trials (default GOMAXPROCS), and -table pipeline also times the rank
-// and orient stages at 1 and -workers goroutines; table output is
-// byte-identical for every worker count.
+// trials (default GOMAXPROCS); table output is byte-identical for every
+// worker count. Wall-clock timings of the listing layers (rank, orient,
+// each kernel) come from the end-to-end benchmark, `bash perfbench/run.sh`.
 package main
 
 import (
@@ -27,7 +28,6 @@ import (
 	"time"
 
 	"trilist/internal/experiments"
-	"trilist/internal/listing"
 )
 
 func main() {
@@ -39,7 +39,7 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	table := fs.String("table", "all", "table to regenerate: 3, 5, 6, 7, 8, 9, 10, 11, 12, scaling, kernels, pipeline, planner, or all")
+	table := fs.String("table", "all", "table to regenerate: 3, 5, 6, 7, 8, 9, 10, 11, 12, scaling, planner, or all")
 	scale := fs.String("scale", "default", "protocol scale: default or paper")
 	sizes := fs.String("sizes", "", "comma-separated graph sizes (overrides scale)")
 	seqs := fs.Int("seqs", 0, "degree sequences per point (overrides scale)")
@@ -47,20 +47,9 @@ func run(args []string, w io.Writer) error {
 	surrogate := fs.Int("surrogate", 0, "Table 12 surrogate size (overrides scale)")
 	seed := fs.Uint64("seed", 0, "root seed (overrides scale)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
-		"goroutines running Monte-Carlo trials and prepare stages; output is identical for any value")
+		"goroutines running Monte-Carlo trials and planner preparation; output is identical for any value")
 	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
-	kernels := fs.String("kernel", "merge,gallop,bitmap,auto,bits,hybrid",
-		"comma-separated intersection kernels for -table kernels/pipeline")
-	kernelsBase := fs.String("kernels-baseline", "",
-		"recorded BENCH_kernels.json to gate -table kernels against (empty = no gate)")
-	benchOut := fs.String("bench-out", "BENCH_pipeline.json",
-		"where -table pipeline writes its JSON measurements (empty = don't write)")
-	baseline := fs.String("baseline", "",
-		"recorded BENCH_pipeline.json to gate -table pipeline against (empty = no gate)")
-	tolerance := fs.Float64("tolerance", 0.25,
-		"fractional best-ms slowdown the -baseline gate tolerates (0.25 = 25%)")
-	trials := fs.Int("trials", 0, "timed repetitions per pipeline/kernels cell (0 = default 3)")
-	pipeN := fs.Int("n", 0, "graph size for -table pipeline/planner/kernels (0 = table default)")
+	plannerN := fs.Int("n", 0, "graph size for -table planner (0 = table default)")
 	plannerOut := fs.String("planner-out", "BENCH_planner.json",
 		"where -table planner writes its JSON validation document (empty = don't write)")
 	plannerBase := fs.String("planner-baseline", "",
@@ -222,130 +211,12 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 	}
-	if *table == "kernels" {
-		// Wall-clock kernel ablation; opt-in only (not part of "all",
-		// which stays purely analytical and machine-independent).
-		ran = true
-		kcfg := experiments.KernelConfig{N: *pipeN, Seed: cfg.Seed, Reps: *trials}
-		for _, s := range strings.Split(*kernels, ",") {
-			k, err := listing.ParseKernel(strings.TrimSpace(s))
-			if err != nil {
-				return err
-			}
-			kcfg.Kernels = append(kcfg.Kernels, k)
-		}
-		t0 := time.Now()
-		bench, rows, err := experiments.TableKernels(kcfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, experiments.FormatKernels(rows))
-		fmt.Fprintf(w, "(computed in %v)\n", time.Since(t0).Round(time.Millisecond))
-		if err := writeCSV("kernels.csv", func(f io.Writer) error {
-			return experiments.WriteKernelsCSV(f, rows)
-		}); err != nil {
-			return err
-		}
-		if err := writeCSV("BENCH_kernels.json", func(f io.Writer) error {
-			return experiments.WriteKernelsJSON(f, bench)
-		}); err != nil {
-			return err
-		}
-		if *kernelsBase != "" {
-			f, err := os.Open(*kernelsBase)
-			if err != nil {
-				return err
-			}
-			base, err := experiments.ReadKernelsJSON(f)
-			f.Close()
-			if err != nil {
-				return err
-			}
-			if !experiments.ComparableKernelHosts(bench, base) {
-				fmt.Fprintf(w, "note: baseline host shape unknown or different (baseline %d CPU / GOMAXPROCS %d, current %d/%d); wall-clock comparisons skipped\n",
-					base.NumCPU, base.GoMaxProcs, bench.NumCPU, bench.GoMaxProcs)
-			}
-			if violations := experiments.CompareKernels(bench, base, *tolerance); len(violations) > 0 {
-				for _, v := range violations {
-					fmt.Fprintln(w, "REGRESSION:", v)
-				}
-				return fmt.Errorf("kernels benchmark regressed against %s (%d violations)",
-					*kernelsBase, len(violations))
-			}
-			fmt.Fprintf(w, "kernels baseline gate passed (%s, tolerance %.0f%%)\n", *kernelsBase, *tolerance*100)
-		}
-	}
-	if *table == "pipeline" {
-		// Per-stage wall-clock benchmark with optional regression gate;
-		// opt-in only, like kernels (machine-dependent measurements).
-		ran = true
-		pcfg := experiments.PipelineConfig{N: *pipeN, Seed: cfg.Seed, Reps: *trials}
-		for _, s := range strings.Split(*kernels, ",") {
-			k, err := listing.ParseKernel(strings.TrimSpace(s))
-			if err != nil {
-				return err
-			}
-			pcfg.Kernels = append(pcfg.Kernels, k)
-		}
-		if *workers > 1 {
-			pcfg.Workers = []int{1, *workers}
-		}
-		t0 := time.Now()
-		bench, err := experiments.TablePipeline(pcfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, experiments.FormatPipeline(bench))
-		fmt.Fprintf(w, "(computed in %v)\n", time.Since(t0).Round(time.Millisecond))
-		if *benchOut != "" {
-			f, err := os.Create(*benchOut)
-			if err != nil {
-				return err
-			}
-			werr := experiments.WritePipelineJSON(f, bench)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return werr
-			}
-			fmt.Fprintf(w, "wrote %s\n", *benchOut)
-		}
-		if err := writeCSV("pipeline.csv", func(f io.Writer) error {
-			return experiments.WritePipelineCSV(f, bench)
-		}); err != nil {
-			return err
-		}
-		if *baseline != "" {
-			f, err := os.Open(*baseline)
-			if err != nil {
-				return err
-			}
-			base, err := experiments.ReadPipelineJSON(f)
-			f.Close()
-			if err != nil {
-				return err
-			}
-			if !experiments.ComparablePipelineHosts(bench, base) {
-				fmt.Fprintf(w, "note: baseline host shape unknown or different (baseline %d CPU / GOMAXPROCS %d, current %d/%d); multi-worker timing comparisons skipped\n",
-					base.NumCPU, base.GoMaxProcs, bench.NumCPU, bench.GoMaxProcs)
-			}
-			if violations := experiments.ComparePipeline(bench, base, *tolerance); len(violations) > 0 {
-				for _, v := range violations {
-					fmt.Fprintln(w, "REGRESSION:", v)
-				}
-				return fmt.Errorf("pipeline benchmark regressed against %s (%d violations)",
-					*baseline, len(violations))
-			}
-			fmt.Fprintf(w, "baseline gate passed (%s, tolerance %.0f%%)\n", *baseline, *tolerance*100)
-		}
-	}
 	if *table == "planner" {
-		// Predicted-vs-measured planner validation. Opt-in like pipeline,
-		// but every number is deterministic given the seed, so its gate is
-		// exact — no timing tolerance, no host exemptions.
+		// Predicted-vs-measured planner validation. Opt-in (not part of
+		// "all"); every number is deterministic given the seed, so its
+		// gate is exact — no timing tolerance, no host exemptions.
 		ran = true
-		ncfg := experiments.PlannerConfig{N: *pipeN, Seed: cfg.Seed, Workers: *workers}
+		ncfg := experiments.PlannerConfig{N: *plannerN, Seed: cfg.Seed, Workers: *workers}
 		t0 := time.Now()
 		bench, err := experiments.TablePlanner(ncfg)
 		if err != nil {

@@ -31,7 +31,7 @@ import (
 // Every number here is deterministic given the seed (model arithmetic
 // and degree sums, no wall clocks), so the checked-in BENCH_planner.json
 // gates with exact integer comparisons and a tiny float tolerance for
-// libm-level drift — unlike the timing benches, host shape only
+// libm-level drift — unlike a timing benchmark, host shape only
 // annotates the document, it never exempts rows.
 
 // PlannerSchema versions the BENCH_planner.json layout.

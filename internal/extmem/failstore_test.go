@@ -197,9 +197,9 @@ type chaosStore struct {
 	inner BlockStore
 
 	latency   time.Duration
-	transient bool      // first Read of each block fails with errTransient
-	perm      *[2]int   // this block always fails with errPermanent
-	gateBlock [2]int    // with gate != nil, first Read of this block parks
+	transient bool    // first Read of each block fails with errTransient
+	perm      *[2]int // this block always fails with errPermanent
+	gateBlock [2]int  // with gate != nil, first Read of this block parks
 	gate      <-chan struct{}
 
 	mu    sync.Mutex

@@ -22,9 +22,9 @@
 package gen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"cmp"
 	"slices"
 
 	"trilist/internal/degseq"

@@ -48,10 +48,10 @@ type TierStats struct {
 // range — and set bits decode directly to vertex ids in ascending
 // order, preserving the merge kernel's emission order.
 type bitAdj struct {
-	words    int   // uint64 words per row: ⌈n/64⌉
-	thresh   int32 // effective threshold after the budget clamp
-	core     int64 // number of vertices with a row
-	rowBytes int64 // len(backing) * 8
+	words    int        // uint64 words per row: ⌈n/64⌉
+	thresh   int32      // effective threshold after the budget clamp
+	core     int64      // number of vertices with a row
+	rowBytes int64      // len(backing) * 8
 	rows     [][]uint64 // rows[v] non-nil ⇔ v is core
 }
 

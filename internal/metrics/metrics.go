@@ -59,9 +59,9 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // Histogram accumulates observations into cumulative buckets with fixed
 // upper bounds, plus a sum and a count — the Prometheus histogram type.
 type Histogram struct {
-	bounds []float64      // ascending upper bounds, +Inf implicit
-	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
-	count  atomic.Int64
+	bounds  []float64      // ascending upper bounds, +Inf implicit
+	counts  []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
+	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits, updated by CAS
 }
 
@@ -105,7 +105,7 @@ type family struct {
 	label           string // label key; "" for unlabeled families
 
 	mu      sync.Mutex
-	buckets []float64 // histogram families only
+	buckets []float64      // histogram families only
 	series  map[string]any // label value -> *Counter | *Gauge | *Histogram
 }
 

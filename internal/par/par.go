@@ -209,7 +209,7 @@ func CheckBijection(vals []int32, workers int) error {
 	}
 
 	shards := make([][]uint64, p)
-	badIdx := make([]int, p)   // first out-of-range index per shard, -1 if none
+	badIdx := make([]int, p)     // first out-of-range index per shard, -1 if none
 	shardDup := make([]int64, p) // lowest intra-shard duplicate label, -1 if none
 	Shards(n, p, func(s, lo, hi int) {
 		badIdx[s], shardDup[s] = -1, -1

@@ -3,11 +3,11 @@
 // regimes. The model cost is kernel-invariant by construction — these
 // benches measure the constant-factor wall-clock freedom the kernels
 // exploit, and report each kernel's auxiliary state (packed bit rows +
-// arena scratch) as aux-B/op. The recorded baseline lives in
-// BENCH_kernels.json (regenerate with
-// `go run ./cmd/experiments -table kernels -csv .`); the acceptance bar
-// is auto >= 1.3x merge on the linear-truncation graph and
-// hybrid >= 1.5x merge there at the planner-chosen threshold.
+// arena scratch) as aux-B/op. The per-kernel timings with medians and
+// quartiles come from perfbench (`bash perfbench/run.sh`, metrics
+// listing.E1.<kernel>.w1_ms); the acceptance bar is auto >= 1.3x merge
+// on the linear-truncation graph and hybrid >= 1.5x merge there at the
+// planner-chosen threshold.
 package trilist_test
 
 import (
