@@ -78,6 +78,24 @@ import (
 	"trilist/internal/server"
 )
 
+// Connection timeouts shared by the API and debug listeners. A client
+// has readHeaderTimeout to send a request's headers, so a connection
+// that trickles a header never holds a goroutine for long, and an idle
+// keep-alive connection is closed after idleTimeout — longer than Go
+// clients' 90s idle timeout, so a client drops a pooled connection
+// before the server does. There is deliberately no ReadTimeout or
+// WriteTimeout: graph uploads and wait:true jobs legitimately run
+// longer than any fixed bound.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h with the daemon's connection timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -160,7 +178,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "trid listening on %s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -171,7 +189,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return fmt.Errorf("debug listener: %w", err)
 		}
 		fmt.Fprintf(out, "trid debug (pprof) listening on %s\n", dln.Addr())
-		ds = &http.Server{Handler: debugMux()}
+		ds = newHTTPServer(debugMux())
 		go func() {
 			// Best-effort: a dead debug listener must not take down the
 			// serving daemon.

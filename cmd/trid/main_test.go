@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -182,6 +185,63 @@ func TestDebugAddrServesPprof(t *testing.T) {
 	if code := get(apiAddr, "/debug/pprof/"); code == http.StatusOK {
 		t.Error("pprof exposed on the API address")
 	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not shut down")
+	}
+}
+
+// TestHalfHeaderConnectionClosed: on both listeners, a client that
+// sends half a request header and then stalls is disconnected once
+// readHeaderTimeout passes, instead of holding the connection forever.
+func TestHalfHeaderConnectionClosed(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := &syncBuffer{}
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{
+			"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0",
+		}, out)
+	}()
+	addrs := []string{
+		waitLogAddr(t, out, "trid listening on "),
+		waitLogAddr(t, out, "trid debug (pprof) listening on "),
+	}
+
+	var wg sync.WaitGroup
+	for _, addr := range addrs {
+		wg.Add(1)
+		go func(addr string) {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Errorf("dial %s: %v", addr, err)
+				return
+			}
+			defer conn.Close()
+			start := time.Now()
+			if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: trid\r\n"); err != nil {
+				t.Errorf("%s: write: %v", addr, err)
+				return
+			}
+			// The server may answer 408 before closing; either way the
+			// read must end in a close, not in our own deadline.
+			conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 5*time.Second))
+			_, err = io.Copy(io.Discard, conn)
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Errorf("%s: half-header connection still open after %v", addr, time.Since(start))
+			}
+		}(addr)
+	}
+	wg.Wait()
 
 	cancel()
 	select {

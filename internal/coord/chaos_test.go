@@ -8,6 +8,7 @@ package coord_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -226,74 +227,153 @@ func TestChaosHungNodeSpeculation(t *testing.T) {
 
 // TestChaosAllNodesDieExactPrefix: when the whole fleet dies mid-job,
 // the run fails — but the partial Result is the exact prefix of the
-// serial schedule: the committed triangle sequence is a head of the
-// single-machine sequence and every meter equals a local recomputation
-// of exactly the committed passes.
+// serial schedule: every meter equals a local recomputation of exactly
+// the committed passes, and a listing run's committed triangle
+// sequence is a head of the single-machine sequence. A count-only run
+// commits the same prefix count without seeing a triangle.
 func TestChaosAllNodesDieExactPrefix(t *testing.T) {
 	wg := wallGraphs(t)[0]
 	parts := 5
 	baseSeq, baseRes := runLocal(t, wg.o, parts)
 	peers := startWorkers(t, 2)
 
-	var calls atomic.Int64
-	client := chaosClient(func(req *http.Request) (*http.Response, error, bool) {
-		if !isTriple(req) {
-			return nil, nil, false
-		}
-		if calls.Add(1) > 6 {
-			return nil, errors.New("injected: fleet power loss"), true
-		}
-		return nil, nil, false
-	})
-
-	var seq [][3]int32
-	res, rep, err := coord.Run(context.Background(), wg.o, parts, func(x, y, z int32) {
-		seq = append(seq, [3]int32{x, y, z})
-	}, coord.Options{
-		Peers:   peers,
-		Client:  client,
-		Workers: 4,
-		Backoff: time.Millisecond,
-	})
-	if err == nil {
-		t.Fatal("run survived total fleet loss")
-	}
-	if !strings.Contains(err.Error(), "no live worker nodes") {
-		t.Fatalf("unexpected failure: %v", err)
-	}
-	if rep.Alive != 0 {
-		t.Errorf("alive=%d after fleet loss", rep.Alive)
-	}
-	if res.Passes >= baseRes.Passes {
-		t.Fatalf("failed run committed all %d passes", res.Passes)
-	}
-
-	// The committed triangles are a strict prefix of the serial sequence.
-	sameSeq(t, "prefix", seq, baseSeq[:len(seq)])
-
-	// And the meters match a local recomputation of exactly the first
-	// res.Passes triples of the protocol schedule — nothing more,
-	// nothing less, nothing out of order.
 	store := extmem.NewMemStore()
 	defer store.Close()
 	written, perr := extmem.Partition(wg.o, parts, store)
 	if perr != nil {
 		t.Fatal(perr)
 	}
-	want := extmem.Result{IO: extmem.IOStats{ArcsWritten: written}}
-	for _, tr := range extmem.Triples(parts)[:res.Passes] {
-		out, terr := extmem.RunTriple(context.Background(), store, tr[0], tr[1], tr[2])
-		if terr != nil {
-			t.Fatal(terr)
+
+	for _, list := range []bool{true, false} {
+		var calls atomic.Int64
+		client := chaosClient(func(req *http.Request) (*http.Response, error, bool) {
+			if !isTriple(req) {
+				return nil, nil, false
+			}
+			if calls.Add(1) > 6 {
+				return nil, errors.New("injected: fleet power loss"), true
+			}
+			return nil, nil, false
+		})
+
+		seq, res, rep, err := runMode(t, wg.o, parts, list, coord.Options{
+			Peers:   peers,
+			Client:  client,
+			Workers: 4,
+			Backoff: time.Millisecond,
+		})
+		if err == nil {
+			t.Fatalf("list=%v: run survived total fleet loss", list)
 		}
-		want.Passes++
-		want.Comparisons += out.Comparisons
-		want.Triangles += int64(len(out.Triangles))
-		want.IO.ArcsRead += out.IO.ArcsRead
-		want.IO.BlockReads += out.IO.BlockReads
+		if !strings.Contains(err.Error(), "no live worker nodes") {
+			t.Fatalf("list=%v: unexpected failure: %v", list, err)
+		}
+		if rep.Alive != 0 {
+			t.Errorf("list=%v: alive=%d after fleet loss", list, rep.Alive)
+		}
+		if res.Passes >= baseRes.Passes {
+			t.Fatalf("list=%v: failed run committed all %d passes", list, res.Passes)
+		}
+
+		// The committed triangles are a strict prefix of the serial sequence.
+		if list {
+			sameSeq(t, "prefix", seq, baseSeq[:len(seq)])
+		}
+
+		// And the meters match a local recomputation of exactly the first
+		// res.Passes triples of the protocol schedule — nothing more,
+		// nothing less, nothing out of order.
+		want := extmem.Result{IO: extmem.IOStats{ArcsWritten: written}}
+		for _, tr := range extmem.Triples(parts)[:res.Passes] {
+			out, terr := extmem.RunTriple(context.Background(), store, tr[0], tr[1], tr[2], false)
+			if terr != nil {
+				t.Fatal(terr)
+			}
+			want.Passes++
+			want.Comparisons += out.Comparisons
+			want.Triangles += out.Count
+			want.IO.ArcsRead += out.IO.ArcsRead
+			want.IO.BlockReads += out.IO.BlockReads
+		}
+		if res != want {
+			t.Errorf("list=%v: partial Result %+v != recomputed prefix %+v", list, res, want)
+		}
 	}
-	if res != want {
-		t.Errorf("partial Result %+v != recomputed prefix %+v", res, want)
+}
+
+// TestChaosInconsistentResponse: one triple response whose counters
+// contradict each other — a listing response whose count is off by
+// one, or a count-only response that carries triangles — is a node
+// error, never a silent miscount: the pass takes one strike, is
+// retried on the other node, and the run still equals extmem.Run.
+func TestChaosInconsistentResponse(t *testing.T) {
+	wg := wallGraphs(t)[0]
+	baseSeq, baseRes := runLocal(t, wg.o, 3)
+	peers := startWorkers(t, 2)
+
+	for _, list := range []bool{true, false} {
+		var corrupted atomic.Bool
+		var base http.Transport
+		client := chaosClient(func(req *http.Request) (*http.Response, error, bool) {
+			if !isTriple(req) || corrupted.Load() {
+				return nil, nil, false
+			}
+			resp, err := base.RoundTrip(req)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				return resp, err, true
+			}
+			defer resp.Body.Close()
+			var tr extmem.TripleResult
+			if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
+				return nil, err, true
+			}
+			if list {
+				tr.Count++
+			} else {
+				tr.Triangles = [][3]int32{{0, 1, 2}}
+			}
+			body, err := json.Marshal(tr)
+			if err != nil {
+				return nil, err, true
+			}
+			corrupted.Store(true)
+			return synthResp(req, http.StatusOK, string(body)), nil, true
+		})
+
+		var mu sync.Mutex
+		var strikes []error
+		seq, res, rep, err := runMode(t, wg.o, 3, list, coord.Options{
+			Peers:   peers,
+			Client:  client,
+			Workers: 1,
+			Backoff: time.Millisecond,
+			OnEvent: func(ev coord.Event) {
+				if ev.Kind == coord.KindTask && ev.Status == "error" {
+					mu.Lock()
+					strikes = append(strikes, ev.Err)
+					mu.Unlock()
+				}
+			},
+		})
+		base.CloseIdleConnections()
+		if err != nil {
+			t.Fatalf("list=%v: run with one inconsistent response: %v", list, err)
+		}
+		if res != baseRes {
+			t.Errorf("list=%v: Result %+v != single-machine %+v", list, res, baseRes)
+		}
+		if list {
+			sameSeq(t, "inconsistent-response", seq, baseSeq)
+		}
+		mu.Lock()
+		if len(strikes) != 1 || !strings.Contains(strikes[0].Error(), "inconsistent triple response") {
+			t.Errorf("list=%v: strikes %v, want exactly one inconsistent-response error", list, strikes)
+		}
+		mu.Unlock()
+		if rep.Redispatches != 1 || rep.Alive != 2 {
+			t.Errorf("list=%v: redispatches=%d alive=%d, want the pass retried once on the other node with both alive",
+				list, rep.Redispatches, rep.Alive)
+		}
 	}
 }
 

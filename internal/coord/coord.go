@@ -69,6 +69,10 @@ type TripleRequest struct {
 	A     int `json:"a"`
 	B     int `json:"b"`
 	C     int `json:"c"`
+	// CountOnly asks for the pass's counters without its triangles. It
+	// is set for every triple of a run without a visitor (a count job),
+	// never by a user.
+	CountOnly bool `json:"count_only,omitempty"`
 }
 
 // maxTripleRespBytes bounds a worker's triple response; a worker that
@@ -175,10 +179,11 @@ var (
 // Run lists all triangles of the oriented graph with P partitions
 // across the fleet in opts.Peers, reporting each triangle once
 // (x < y < z) to visit in the same deterministic order as extmem.Run.
-// The returned Result is byte-identical to a single-machine run at any
-// node count; the Report describes scheduling (ships, re-dispatches,
-// node health). On permanent failure the Result holds the exact
-// committed prefix of the serial schedule.
+// A nil visit only counts: workers return each pass's counters, not its
+// triangles. The returned Result is byte-identical to a single-machine
+// run at any node count; the Report describes scheduling (ships,
+// re-dispatches, node health). On permanent failure the Result holds
+// the exact committed prefix of the serial schedule.
 func Run(ctx context.Context, o *digraph.Oriented, parts int, visit listing.Visitor, opts Options) (extmem.Result, Report, error) {
 	var res extmem.Result
 	var rep Report
@@ -193,9 +198,7 @@ func Run(ctx context.Context, o *digraph.Oriented, parts int, visit listing.Visi
 	if n == 0 {
 		return res, rep, nil
 	}
-	if visit == nil {
-		visit = func(x, y, z int32) {}
-	}
+	countOnly := visit == nil
 
 	store := extmem.NewMemStore()
 	defer store.Close()
@@ -236,7 +239,7 @@ func Run(ctx context.Context, o *digraph.Oriented, parts int, visit listing.Visi
 		func(tctx context.Context, idx int) (extmem.TripleResult, error) {
 			tr := triples[idx]
 			if !remote {
-				return extmem.RunTriple(tctx, store, tr[0], tr[1], tr[2])
+				return extmem.RunTriple(tctx, store, tr[0], tr[1], tr[2], !countOnly)
 			}
 			nd, err := c.pick(idx)
 			if err != nil {
@@ -244,21 +247,12 @@ func Run(ctx context.Context, o *digraph.Oriented, parts int, visit listing.Visi
 			}
 			t0 := time.Now()
 			out, cerr := c.callTriple(tctx, nd, TripleRequest{
-				Set: c.setID, Parts: parts, A: tr[0], B: tr[1], C: tr[2],
+				Set: c.setID, Parts: parts, A: tr[0], B: tr[1], C: tr[2], CountOnly: countOnly,
 			})
 			c.finish(nd, cerr, tctx, time.Since(t0))
 			return out, cerr
 		},
-		func(idx int, tr extmem.TripleResult) {
-			res.Passes++
-			res.Comparisons += tr.Comparisons
-			res.IO.ArcsRead += tr.IO.ArcsRead
-			res.IO.BlockReads += tr.IO.BlockReads
-			for _, t := range tr.Triangles {
-				res.Triangles++
-				visit(t[0], t[1], t[2])
-			}
-		},
+		func(idx int, tr extmem.TripleResult) { res.Commit(tr, visit) },
 		exec.Options{
 			Workers:     workers,
 			MaxAttempts: c.maxAttempts,
@@ -572,8 +566,46 @@ func (c *cluster) doTriple(ctx context.Context, nd *node, tr TripleRequest) (ext
 	if len(data) > maxTripleRespBytes {
 		return out, fmt.Errorf("node %s: triple response exceeds %d bytes", nd.base, maxTripleRespBytes)
 	}
-	if err := json.Unmarshal(data, &out); err != nil {
-		return out, fmt.Errorf("node %s: decoding triple response: %w", nd.base, err)
+	out, err = decodeTriple(data, tr.CountOnly)
+	if err != nil {
+		return out, fmt.Errorf("node %s: triple (%d,%d,%d): %w", nd.base, tr.A, tr.B, tr.C, err)
+	}
+	return out, nil
+}
+
+// errInconsistent marks a triple response whose counters are missing
+// or contradict each other. It is a node fault, not a protocol bug:
+// the pass is retried on another node and the answering node takes a
+// strike, so a corrupt or wrong-build worker can never commit a
+// miscount.
+var errInconsistent = errors.New("inconsistent triple response")
+
+// decodeTriple decodes a worker's triple response and validates it
+// against the request mode. The count must be present (a worker that
+// predates the field omits it); a listing response's count must equal
+// its triangle list length; a count-only response carries no
+// triangles; no meter is negative.
+func decodeTriple(data []byte, countOnly bool) (extmem.TripleResult, error) {
+	var wire struct {
+		extmem.TripleResult
+		// Count shadows the embedded field so an absent key is visible.
+		Count *int64 `json:"count"`
+	}
+	if err := json.Unmarshal(data, &wire); err != nil {
+		return extmem.TripleResult{}, fmt.Errorf("decoding triple response: %w", err)
+	}
+	out := wire.TripleResult
+	if wire.Count == nil {
+		return extmem.TripleResult{}, fmt.Errorf("%w: no count (worker from another build?)", errInconsistent)
+	}
+	out.Count = *wire.Count
+	switch {
+	case countOnly && len(out.Triangles) > 0:
+		return extmem.TripleResult{}, fmt.Errorf("%w: count-only response carries %d triangles", errInconsistent, len(out.Triangles))
+	case !countOnly && out.Count != int64(len(out.Triangles)):
+		return extmem.TripleResult{}, fmt.Errorf("%w: count %d but %d triangles", errInconsistent, out.Count, len(out.Triangles))
+	case out.Count < 0 || out.Comparisons < 0 || out.IO.ArcsRead < 0 || out.IO.BlockReads < 0:
+		return extmem.TripleResult{}, fmt.Errorf("%w: invalid meters count=%d comparisons=%d io=%+v", errInconsistent, out.Count, out.Comparisons, out.IO)
 	}
 	return out, nil
 }

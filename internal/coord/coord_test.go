@@ -8,6 +8,7 @@ package coord_test
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"runtime"
 	"sync"
@@ -132,6 +133,18 @@ func runCoord(t *testing.T, o *digraph.Oriented, parts int, opts coord.Options) 
 	return seq, res, rep, err
 }
 
+// runMode runs the coordinated lister in one of its two modes: with a
+// visitor (list jobs) collecting the sequence, or without one (count
+// jobs), where workers answer with counters only and seq stays nil.
+func runMode(t *testing.T, o *digraph.Oriented, parts int, list bool, opts coord.Options) ([][3]int32, extmem.Result, coord.Report, error) {
+	t.Helper()
+	if list {
+		return runCoord(t, o, parts, opts)
+	}
+	res, rep, err := coord.Run(context.Background(), o, parts, nil, opts)
+	return nil, res, rep, err
+}
+
 // sameSeq fails the test at the first divergence of two sequences.
 func sameSeq(t *testing.T, label string, got, want [][3]int32) {
 	t.Helper()
@@ -146,10 +159,10 @@ func sameSeq(t *testing.T, label string, got, want [][3]int32) {
 }
 
 // TestCoordDeterminismWall: across node counts {0 (coordinator-only),
-// 2, 4} × parts {2,3,5} × {ER, Pareto-root, Pareto-linear}, the
-// coordinated triangle sequence and every Result meter are
-// byte-identical to the single-machine run, and the triangle set
-// matches brute force on the undirected graph.
+// 2, 4} × parts {2,3,5} × {ER, Pareto-root, Pareto-linear} × {list,
+// count-only}, every Result meter is byte-identical to the
+// single-machine run, the listed triangle sequence is too, and the
+// triangle set matches brute force on the undirected graph.
 func TestCoordDeterminismWall(t *testing.T) {
 	for _, wg := range wallGraphs(t) {
 		t.Run(wg.name, func(t *testing.T) {
@@ -168,20 +181,26 @@ func TestCoordDeterminismWall(t *testing.T) {
 					seen[tri] = true
 				}
 				for _, nodes := range []int{0, 2, 4} {
-					seq, res, rep, err := runCoord(t, wg.o, parts, coord.Options{
-						Peers: peers[:nodes],
-					})
-					if err != nil {
-						t.Fatalf("parts=%d nodes=%d: %v", parts, nodes, err)
-					}
-					if res != baseRes {
-						t.Errorf("parts=%d nodes=%d: Result %+v != single-machine %+v", parts, nodes, res, baseRes)
-					}
-					sameSeq(t, "coordinated", seq, baseSeq)
-					if rep.Nodes != nodes || rep.Alive != nodes {
-						t.Errorf("parts=%d nodes=%d: report fleet %d alive %d", parts, nodes, rep.Nodes, rep.Alive)
-					}
-					if nodes > 0 {
+					for _, list := range []bool{true, false} {
+						cell := fmt.Sprintf("parts=%d nodes=%d list=%v", parts, nodes, list)
+						seq, res, rep, err := runMode(t, wg.o, parts, list, coord.Options{
+							Peers: peers[:nodes],
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", cell, err)
+						}
+						if res != baseRes {
+							t.Errorf("%s: Result %+v != single-machine %+v", cell, res, baseRes)
+						}
+						if list {
+							sameSeq(t, cell, seq, baseSeq)
+						}
+						if rep.Nodes != nodes || rep.Alive != nodes {
+							t.Errorf("%s: report fleet %d alive %d", cell, rep.Nodes, rep.Alive)
+						}
+						if nodes == 0 {
+							continue
+						}
 						triples := int64(len(extmem.Triples(extmem.ClampParts(parts, wg.o.NumNodes()))))
 						var tasks int64
 						for _, v := range rep.TasksByNode {
@@ -190,13 +209,13 @@ func TestCoordDeterminismWall(t *testing.T) {
 						// No faults, no speculation: every pass ran remotely
 						// exactly once.
 						if tasks != triples {
-							t.Errorf("parts=%d nodes=%d: %d remote tasks, want %d", parts, nodes, tasks, triples)
+							t.Errorf("%s: %d remote tasks, want %d", cell, tasks, triples)
 						}
 						if rep.TaskDurations.N() != triples {
-							t.Errorf("parts=%d nodes=%d: duration sample n=%d, want %d", parts, nodes, rep.TaskDurations.N(), triples)
+							t.Errorf("%s: duration sample n=%d, want %d", cell, rep.TaskDurations.N(), triples)
 						}
 						if rep.BytesShipped == 0 {
-							t.Errorf("parts=%d nodes=%d: no bytes shipped", parts, nodes)
+							t.Errorf("%s: no bytes shipped", cell)
 						}
 					}
 				}

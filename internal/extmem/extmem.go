@@ -157,6 +157,10 @@ func WithExecEvents(f func(exec.Event)) Option { return func(o *runOptions) { o.
 // coordinator merging remote TripleResults in schedule order produces
 // the same Result bytes as a local Run.
 type TripleResult struct {
+	// Count is the pass's triangle count. A listing pass also keeps the
+	// triangles themselves, so Count == len(Triangles); a count-only
+	// pass (RunTriple with keep false) leaves Triangles nil.
+	Count       int64      `json:"count"`
 	Triangles   [][3]int32 `json:"triangles,omitempty"`
 	Comparisons int64      `json:"comparisons"`
 	IO          IOStats    `json:"io"`
@@ -235,8 +239,10 @@ func Triples(parts int) [][3]int {
 
 // Run lists all triangles of the oriented graph with P partitions,
 // reporting each triangle once (global relabeled IDs, x < y < z) to
-// visit, which may be nil. The store must be empty; Run writes the
-// partition blocks itself. P = 1 degenerates to a single in-memory pass.
+// visit. A nil visit only counts: the passes keep no triangles, and the
+// Result is identical to a visiting run's. The store must be empty; Run
+// writes the partition blocks itself. P = 1 degenerates to a single
+// in-memory pass.
 //
 // visit is always called from Run's calling goroutine, in a fixed
 // deterministic order (triple-lexicographic, then sweep order within a
@@ -270,9 +276,7 @@ func Run(ctx context.Context, o *digraph.Oriented, parts int, store BlockStore, 
 	if n == 0 {
 		return res, nil
 	}
-	if visit == nil {
-		visit = func(x, y, z int32) {}
-	}
+	keep := visit != nil
 
 	written, err := Partition(o, parts, store)
 	res.IO.ArcsWritten = written
@@ -286,18 +290,9 @@ func Run(ctx context.Context, o *digraph.Oriented, parts int, store BlockStore, 
 			tr := triples[idx]
 			sp := ro.rec.Start(StageTriple)
 			defer sp.End()
-			return RunTriple(tctx, store, tr[0], tr[1], tr[2])
+			return RunTriple(tctx, store, tr[0], tr[1], tr[2], keep)
 		},
-		func(idx int, tr TripleResult) {
-			res.Passes++
-			res.Comparisons += tr.Comparisons
-			res.IO.ArcsRead += tr.IO.ArcsRead
-			res.IO.BlockReads += tr.IO.BlockReads
-			for _, t := range tr.Triangles {
-				res.Triangles++
-				visit(t[0], t[1], t[2])
-			}
-		},
+		func(idx int, tr TripleResult) { res.Commit(tr, visit) },
 		exec.Options{
 			Workers:     ro.workers,
 			MaxAttempts: ro.retry.Attempts,
@@ -310,6 +305,21 @@ func Run(ctx context.Context, o *digraph.Oriented, parts int, store BlockStore, 
 		return res, err
 	}
 	return res, nil
+}
+
+// Commit folds one pass into the Result and reports its triangles to
+// visit in sweep order. Committing passes in Triples order is what
+// makes every Result byte-identical to a serial Run; a count-only pass
+// carries no triangles, so visit may then be nil.
+func (r *Result) Commit(tr TripleResult, visit listing.Visitor) {
+	r.Passes++
+	r.Triangles += tr.Count
+	r.Comparisons += tr.Comparisons
+	r.IO.ArcsRead += tr.IO.ArcsRead
+	r.IO.BlockReads += tr.IO.BlockReads
+	for _, t := range tr.Triangles {
+		visit(t[0], t[1], t[2])
+	}
 }
 
 // adjacency groups arcs by one endpoint into sorted neighbor lists.
@@ -332,12 +342,14 @@ func groupByY(arcs []Arc) adjacency {
 // the intersection of y's down-neighbors in (b,a) with z's
 // down-neighbors in (c,a) — the E2 sweep of the paper restricted to the
 // triple. Triangles are buffered, not emitted: the executor (or a
-// remote coordinator) commits them in schedule order. ctx is checked
-// between block reads, so a cancellation or per-triple timeout
-// interrupts a pass within one block read. Exported so trid worker
+// remote coordinator) commits them in schedule order. With keep false
+// the same sweep only counts them — Count, Comparisons and IO are
+// unchanged, Triangles stays nil. ctx is checked between block reads,
+// so a cancellation or per-triple timeout interrupts a pass within one
+// block read. Exported so trid worker
 // nodes can execute a single pass against a locally cached partition
 // set on behalf of a coordinator.
-func RunTriple(ctx context.Context, store BlockStore, a, b, c int) (TripleResult, error) {
+func RunTriple(ctx context.Context, store BlockStore, a, b, c int, keep bool) (TripleResult, error) {
 	var tr TripleResult
 	read := func(i, j int) ([]Arc, error) {
 		if err := ctx.Err(); err != nil {
@@ -395,7 +407,10 @@ func RunTriple(ctx context.Context, store BlockStore, a, b, c int) (TripleResult
 				// global ordering x < y < z must hold (it is automatic
 				// across distinct partitions).
 				if x < y && y < z {
-					tr.Triangles = append(tr.Triangles, [3]int32{x, y, z})
+					tr.Count++
+					if keep {
+						tr.Triangles = append(tr.Triangles, [3]int32{x, y, z})
+					}
 				}
 				i++
 				j++

@@ -17,31 +17,41 @@ import (
 
 // failStore wraps a BlockStore and injects an error once a countdown of
 // Append or Read calls runs out — fault injection for Run's partition
-// and triple passes, in the spirit of internal/graph's failWriter.
+// and triple passes, in the spirit of internal/graph's failWriter. The
+// countdowns are locked: Read runs on every worker of a parallel Run.
 type failStore struct {
 	inner       BlockStore
+	mu          sync.Mutex
 	appendsLeft int // inject on the call after this many succeed (-1 = never)
 	readsLeft   int
 }
 
 var errInjected = errors.New("synthetic: store fault")
 
-func (s *failStore) Append(i, j int, arcs []Arc) error {
-	if s.appendsLeft == 0 {
-		return errInjected
+// countdown consumes one call from *left, reporting whether this call
+// is the one to fail.
+func (s *failStore) countdown(left *int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if *left == 0 {
+		return true
 	}
-	if s.appendsLeft > 0 {
-		s.appendsLeft--
+	if *left > 0 {
+		*left--
+	}
+	return false
+}
+
+func (s *failStore) Append(i, j int, arcs []Arc) error {
+	if s.countdown(&s.appendsLeft) {
+		return errInjected
 	}
 	return s.inner.Append(i, j, arcs)
 }
 
 func (s *failStore) Read(i, j int) ([]Arc, error) {
-	if s.readsLeft == 0 {
+	if s.countdown(&s.readsLeft) {
 		return nil, errInjected
-	}
-	if s.readsLeft > 0 {
-		s.readsLeft--
 	}
 	return s.inner.Read(i, j)
 }
@@ -191,8 +201,8 @@ func TestFileStoreCloseRemovesBlocks(t *testing.T) {
 // parallel triple schedule: per-Read latency, a transient failure on
 // the first Read of every block, one permanently failing block, and an
 // optional gate that parks the first Read of a chosen block until the
-// test releases it. Concurrency-safe, unlike failStore — it sits under
-// multi-worker runs.
+// test releases it. Concurrency-safe — it sits under multi-worker
+// runs.
 type chaosStore struct {
 	inner BlockStore
 

@@ -74,7 +74,8 @@ func runSeq(t *testing.T, o *digraph.Oriented, parts int, store BlockStore, opts
 // {1,2,3,5} × {ER, Pareto-root, Pareto-linear}, the triangle sequence
 // and every Result field are byte-identical to the serial run, each
 // triangle is emitted exactly once, and the triangle set matches brute
-// force on the undirected graph.
+// force on the undirected graph. Every cell also runs without a
+// visitor (the count-only sweep) and must give the identical Result.
 func TestParallelDeterminismWall(t *testing.T) {
 	for _, wg := range wallGraphs(t) {
 		t.Run(wg.name, func(t *testing.T) {
@@ -118,7 +119,17 @@ func TestParallelDeterminismWall(t *testing.T) {
 					t.Fatalf("parts=%d: Result.Triangles=%d, want %d", parts, baseRes.Triangles, len(ref))
 				}
 
-				for _, workers := range []int{2, 8} {
+				for _, workers := range []int{1, 2, 8} {
+					counted, err := Run(context.Background(), wg.o, parts, NewMemStore(), nil, WithWorkers(workers))
+					if err != nil {
+						t.Fatalf("parts=%d workers=%d: count-only Run: %v", parts, workers, err)
+					}
+					if counted != baseRes {
+						t.Errorf("parts=%d workers=%d: count-only Result %+v != serial %+v", parts, workers, counted, baseRes)
+					}
+					if workers == 1 {
+						continue
+					}
 					seq, res := runSeq(t, wg.o, parts, NewMemStore(), WithWorkers(workers))
 					if res != baseRes {
 						t.Errorf("parts=%d workers=%d: Result %+v != serial %+v", parts, workers, res, baseRes)
@@ -245,7 +256,7 @@ func TestFileStoreStaleSweep(t *testing.T) {
 // error paths (satellite fix: no leftover block files in the dir).
 func TestRunErrorPathLeavesNoSpillFiles(t *testing.T) {
 	o := orientedTestGraph(t, 7, 200, 2500)
-	for name, fault := range map[string]failStore{
+	for name, fault := range map[string]struct{ appendsLeft, readsLeft int }{
 		"append-fault": {appendsLeft: 1, readsLeft: -1},
 		"read-fault":   {appendsLeft: -1, readsLeft: 2},
 	} {
@@ -255,9 +266,8 @@ func TestRunErrorPathLeavesNoSpillFiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fs := fault
-			fs.inner = inner
-			if _, err := Run(context.Background(), o, 3, &fs, nil, WithWorkers(4)); !errors.Is(err, errInjected) {
+			fs := &failStore{inner: inner, appendsLeft: fault.appendsLeft, readsLeft: fault.readsLeft}
+			if _, err := Run(context.Background(), o, 3, fs, nil, WithWorkers(4)); !errors.Is(err, errInjected) {
 				t.Fatalf("got %v, want injected fault", err)
 			}
 			if err := fs.Close(); err != nil {

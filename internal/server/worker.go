@@ -186,8 +186,9 @@ func (s *Server) handleWorkerRegisterSet(w http.ResponseWriter, r *http.Request)
 }
 
 // handleWorkerTriple executes one block-triple pass against a cached
-// partition set and returns the TripleResult — triangles, comparisons
-// and the logical I/O meters of exactly this pass, which the
+// partition set and returns the TripleResult — triangle count,
+// comparisons and the logical I/O meters of exactly this pass, plus the
+// triangles themselves unless the request is count-only — which the
 // coordinator commits in schedule order. 404 tells the coordinator the
 // set is gone (evicted or never shipped here) so it can re-register.
 func (s *Server) handleWorkerTriple(w http.ResponseWriter, r *http.Request) {
@@ -215,7 +216,7 @@ func (s *Server) handleWorkerTriple(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid triple (%d,%d,%d) for %d parts", req.A, req.B, req.C, ps.parts)
 		return
 	}
-	res, err := extmem.RunTriple(r.Context(), ps.store, req.A, req.B, req.C)
+	res, err := extmem.RunTriple(r.Context(), ps.store, req.A, req.B, req.C, !req.CountOnly)
 	if err != nil {
 		// Context errors (client gone, coordinator timeout) land here;
 		// the store itself cannot fail. 503 keeps it retry-classified.

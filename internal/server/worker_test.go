@@ -116,18 +116,37 @@ func TestWorkerPartitionSetLifecycle(t *testing.T) {
 		t.Fatalf("re-registration not cached: %+v", info)
 	}
 
-	// Execute the full schedule; the summed triangle count must equal
-	// the single-machine run — the worker serves the exact same passes.
+	// Execute the full schedule in both modes; the summed triangle count
+	// must equal the single-machine run — the worker serves the exact
+	// same passes. Per triple, the count-only answer carries the listing
+	// answer's counters and no triangles key at all.
 	var got int64
 	triples := extmem.Triples(parts)
 	for _, tr := range triples {
-		code, res, out := e.postTriple(t, coord.TripleRequest{
-			Set: "wall-set", Parts: parts, A: tr[0], B: tr[1], C: tr[2],
-		})
+		req := coord.TripleRequest{Set: "wall-set", Parts: parts, A: tr[0], B: tr[1], C: tr[2]}
+		code, listed, out := e.postTriple(t, req)
 		if code != http.StatusOK {
 			t.Fatalf("triple %v: status %d: %s", tr, code, out)
 		}
-		got += int64(len(res.Triangles))
+		if listed.Count != int64(len(listed.Triangles)) {
+			t.Errorf("triple %v: listing count %d, %d triangles", tr, listed.Count, len(listed.Triangles))
+		}
+		req.CountOnly = true
+		code, counted, out := e.postTriple(t, req)
+		if code != http.StatusOK {
+			t.Fatalf("count-only triple %v: status %d: %s", tr, code, out)
+		}
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(out, &keys); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := keys["triangles"]; ok {
+			t.Errorf("count-only triple %v: body has a triangles key: %s", tr, out)
+		}
+		if counted.Count != listed.Count || counted.Comparisons != listed.Comparisons || counted.IO != listed.IO {
+			t.Errorf("triple %v: count-only %+v != listing counters %+v", tr, counted, listed)
+		}
+		got += counted.Count
 	}
 	if got != wantTriangles {
 		t.Fatalf("remote passes found %d triangles, single-machine %d", got, wantTriangles)
@@ -160,8 +179,8 @@ func TestWorkerPartitionSetLifecycle(t *testing.T) {
 	}
 
 	text := e.metricsText(t)
-	if n := metricValue(t, text, "trid_worker_triples_total"); n != int64(len(triples)) {
-		t.Errorf("trid_worker_triples_total = %d, want %d", n, len(triples))
+	if n := metricValue(t, text, "trid_worker_triples_total"); n != 2*int64(len(triples)) {
+		t.Errorf("trid_worker_triples_total = %d, want %d", n, 2*len(triples))
 	}
 	if n := metricValue(t, text, "trid_worker_partition_sets"); n != 1 {
 		t.Errorf("trid_worker_partition_sets = %d, want 1", n)
