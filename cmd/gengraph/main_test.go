@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"trilist/internal/graph"
+	"trilist/internal/ingest"
 )
 
 func genTo(t *testing.T, args ...string) *graph.Graph {
@@ -14,12 +15,17 @@ func genTo(t *testing.T, args ...string) *graph.Graph {
 	if err := run(append(args, "-out", out)); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(out)
+	return load(t, out)
+}
+
+// load reads a generated file in whichever format it was written.
+func load(t *testing.T, path string) *graph.Graph {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	g, err := graph.ReadEdgeList(f)
+	g, _, err := ingest.Parse(data, ingest.FormatAuto, ingest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,24 +105,7 @@ func TestGenerateBinaryFormat(t *testing.T) {
 	if err := run([]string{"-n", "600", "-alpha", "1.7", "-seed", "8", "-format", "binary", "-out", bin}); err != nil {
 		t.Fatal(err)
 	}
-	ft, err := os.Open(txt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ft.Close()
-	gt, err := graph.ReadAny(ft)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := os.Open(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb.Close()
-	gb, err := graph.ReadAny(fb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gt, gb := load(t, txt), load(t, bin)
 	if gt.NumEdges() != gb.NumEdges() || gt.NumNodes() != gb.NumNodes() {
 		t.Fatalf("text %d/%d vs binary %d/%d",
 			gt.NumNodes(), gt.NumEdges(), gb.NumNodes(), gb.NumEdges())

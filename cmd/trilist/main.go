@@ -7,18 +7,17 @@
 //	        [-plan] [-print] [-seed 1] [-workers 1] [-parts 1] \
 //	        [-spill dir] [-timeout 0]
 //
-// -method auto (the default) plans the run: the empirical degree
-// distribution is fitted from the graph and the predicted-cheapest
-// (method, order) pair under eq. (50) is executed; an explicit -order
-// constrains the choice to that order (any but degenerate, which the
-// model cannot price from the distribution). -plan prints the full
-// ranked prediction table and exits without sweeping — the explain
-// mode. With an explicit method and -order auto, the paper-optimal
-// order for the method is used (θ_D for T1/E1, RR for T2, CRR for
-// E4, ...). -kernel picks the neighbor-intersection strategy (merge,
-// gallop, bitmap, the bit-parallel bits/hybrid pair, or auto, the
-// adaptive default); kernels change only wall-clock speed — the
-// triangle set and every reported cost meter are kernel-invariant.
+// -method, -order, -kernel and -parts resolve by the table on
+// core.Resolve, the same one trid's job API uses: -method auto (the
+// default) runs the planner's predicted-cheapest (method, order) pair
+// under eq. (50), a named method with -order auto runs the
+// paper-optimal order for it, and -kernel auto on a planned
+// scanning-edge run takes the plan's priced kernel. -plan prints the
+// full ranked prediction table and exits without sweeping — the
+// explain mode. -kernel picks the neighbor-intersection strategy
+// (merge, gallop, bitmap, the bit-parallel bits/hybrid pair, or auto);
+// kernels change only wall-clock speed — the triangle set and every
+// reported cost meter are kernel-invariant.
 // -core-thresh sets the bit tier's core degree threshold τ for
 // -kernel bits/hybrid (0 = every vertex with a neighbor list gets a
 // packed row, budget permitting). -print emits each triangle as "x y z" in relabeled
@@ -30,7 +29,8 @@
 // chunk-parallel under -workers. -workers N parallelizes the sweep and
 // the rank and orient stages (results are identical at any worker
 // count); -parts P > 1 switches to the external-memory partitioned
-// lister (ignoring -method), spilling blocks to -spill (or memory if
+// lister, the E2 block merge under -order (descending by default;
+// -method must stay auto), spilling blocks to -spill (or memory if
 // unset). Partitioned runs schedule the P³/streamable block triples on
 // a scatter/gather executor: -workers passes run concurrently (output
 // stays byte-identical at any worker count, with straggler re-issue
@@ -57,7 +57,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"trilist/internal/core"
 	"trilist/internal/extmem"
@@ -65,7 +64,6 @@ import (
 	"trilist/internal/ingest"
 	"trilist/internal/listing"
 	"trilist/internal/obsv"
-	"trilist/internal/order"
 	"trilist/internal/planner"
 )
 
@@ -88,7 +86,7 @@ func run(args []string, out io.Writer) error {
 	print := fs.Bool("print", false, "print each triangle (relabeled IDs x y z)")
 	seed := fs.Uint64("seed", 1, "seed for the uniform order")
 	workers := fs.Int("workers", 1, "parallel goroutines for prepare and the sweep (sweep needs a visitor-safe method)")
-	parts := fs.Int("parts", 1, "external-memory partitions (>1 enables the partitioned lister)")
+	parts := fs.Int("parts", 1, "external-memory partitions (>1 enables the partitioned E2 lister; -method must be auto)")
 	spill := fs.String("spill", "", "spill directory for -parts (default: in-memory blocks)")
 	retries := fs.Int("retries", 1, "attempts per block-triple pass under -parts (>1 retries transient store failures)")
 	retryBackoff := fs.Duration("retry-backoff", 0, "base backoff between block-triple retry attempts (doubles per retry)")
@@ -104,20 +102,12 @@ func run(args []string, out io.Writer) error {
 			peers = append(peers, p)
 		}
 	}
-	if len(peers) > 0 && *parts <= 1 {
+	nparts := *parts
+	if nparts <= 1 {
+		nparts = 0 // the in-memory sweep
+	}
+	if len(peers) > 0 && nparts == 0 {
 		return errors.New("-peers requires -parts > 1: only the partitioned lister fans across workers")
-	}
-	methodAuto := *methodName == "" || strings.EqualFold(*methodName, "auto")
-	var method listing.Method
-	var err error
-	if !methodAuto {
-		if method, err = parseMethod(*methodName); err != nil {
-			return err
-		}
-	}
-	kind, orderAuto, err := parseOrder(*orderName)
-	if err != nil {
-		return err
 	}
 	format, err := ingest.ParseFormat(*formatName)
 	if err != nil {
@@ -158,26 +148,20 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "# graph: n=%d m=%d\n", g.NumNodes(), g.NumEdges())
-	if methodAuto {
-		p, err := planner.Compute(g, planner.WithWorkers(*workers))
-		if err != nil {
-			return err
-		}
-		c := p.Best()
-		if !orderAuto {
-			var ok bool
-			if c, ok = p.BestUnder(kind); !ok {
-				return fmt.Errorf("-method auto cannot plan order %q: its cost is not predictable from the degree distribution; name a method explicitly", *orderName)
-			}
-		}
-		method, kind = c.Method, c.Order
-		fmt.Fprintf(w, "# planned: method=%v order=%v predicted-cost=%.6g\n", method, kind, c.Total)
-	} else if orderAuto {
-		kind = core.Recommended(method)
-	}
-	kern, err := listing.ParseKernel(*kernelName)
+	cfg, planned, err := core.Resolve(*methodName, *orderName, *kernelName, nparts, func() (*planner.Plan, error) {
+		return planner.Compute(g, planner.WithWorkers(*workers))
+	})
 	if err != nil {
 		return err
+	}
+	if planned != nil {
+		fmt.Fprintf(w, "# planned: method=%v order=%v predicted-cost=%.6g\n", cfg.Method, cfg.Order, planned.Total)
+	}
+	cfg.Seed, cfg.Workers, cfg.Recorder = *seed, *workers, rec
+	cfg.SpillDir, cfg.Peers = *spill, peers
+	cfg.Retry = extmem.RetryPolicy{Attempts: *retries, Backoff: *retryBackoff}
+	if *coreThresh > 0 {
+		cfg.CoreThreshold = int32(*coreThresh)
 	}
 	var visit listing.Visitor
 	if *print {
@@ -189,42 +173,32 @@ func run(args []string, out io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if *parts > 1 {
-		pcfg := core.Config{
-			Order:    kind,
-			Seed:     *seed,
-			Workers:  *workers,
-			Recorder: rec,
-			Parts:    *parts,
-			SpillDir: *spill,
-			Peers:    peers,
-			Retry:    extmem.RetryPolicy{Attempts: *retries, Backoff: *retryBackoff},
-			// Straggler re-issue only makes sense with idle workers to spare.
-			Speculate: *workers > 1,
-		}
-		err := runPartitioned(ctx, g, pcfg, *timeout, visit, w)
-		printStages(w, rec)
-		return err
-	}
-	res, err := core.ListCtx(ctx, g, core.Config{Method: method, Order: kind, Seed: *seed, Workers: *workers,
-		Kernel: kern, CoreThreshold: int32(*coreThresh), Recorder: rec}, visit)
+	res, err := core.ListCtx(ctx, g, cfg, visit)
 	if errors.Is(err, context.DeadlineExceeded) {
 		// Non-zero exit, but report how far the sweep got.
 		printStages(w, rec)
+		if er := res.Partitioned; er != nil {
+			return fmt.Errorf("deadline exceeded after %v: %d triangles found in %d passes before the run was cut short",
+				*timeout, res.Triangles, er.Passes)
+		}
 		return fmt.Errorf("deadline exceeded after %v: %d triangles found before the sweep was cut short",
 			*timeout, res.Triangles)
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "# method=%v order=%v kernel=%v\n", method, kind, kern)
-	fmt.Fprintf(w, "# triangles=%d\n", res.Triangles)
-	fmt.Fprintf(w, "# model-ops=%d (per-node cost %.3f)\n",
-		res.ModelOps(), float64(res.ModelOps())/float64(g.NumNodes()))
-	fmt.Fprintf(w, "# max-out-degree=%d\n", res.MaxOutDeg)
-	if kern == listing.KernelBits || kern == listing.KernelHybrid {
-		fmt.Fprintf(w, "# bit-tier: tau=%d core-vertices=%d row-bytes=%d core-pairs=%d fringe-pairs=%d\n",
-			res.Tier.Threshold, res.Tier.CoreVertices, res.Tier.RowBytes, res.Tier.CorePairs, res.Tier.FringePairs)
+	if res.Partitioned != nil {
+		printPartitioned(w, cfg, res)
+	} else {
+		fmt.Fprintf(w, "# method=%v order=%v kernel=%v\n", cfg.Method, cfg.Order, cfg.Kernel)
+		fmt.Fprintf(w, "# triangles=%d\n", res.Triangles)
+		fmt.Fprintf(w, "# model-ops=%d (per-node cost %.3f)\n",
+			res.ModelOps(), float64(res.ModelOps())/float64(g.NumNodes()))
+		fmt.Fprintf(w, "# max-out-degree=%d\n", res.MaxOutDeg)
+		if cfg.Kernel == listing.KernelBits || cfg.Kernel == listing.KernelHybrid {
+			fmt.Fprintf(w, "# bit-tier: tau=%d core-vertices=%d row-bytes=%d core-pairs=%d fringe-pairs=%d\n",
+				res.Tier.Threshold, res.Tier.CoreVertices, res.Tier.RowBytes, res.Tier.CorePairs, res.Tier.FringePairs)
+		}
 	}
 	fmt.Fprintf(w, "# prep=%v list=%v\n", res.PrepTime, res.ListTime)
 	printStages(w, rec)
@@ -242,25 +216,9 @@ func printStages(w io.Writer, rec *obsv.Recorder) {
 	}
 }
 
-// runPartitioned executes the external-memory lister through the core
-// façade, which owns the block store lifecycle (spill files are removed
-// on every exit path) and schedules the block triples on the
-// scatter/gather executor with cfg.Workers passes in flight. ctx
-// cancellation stops it between block triples.
-func runPartitioned(ctx context.Context, g *graph.Graph, cfg core.Config,
-	timeout time.Duration, visit listing.Visitor, w io.Writer) error {
-	res, err := core.ListCtx(ctx, g, cfg, visit)
-	if errors.Is(err, context.DeadlineExceeded) {
-		var passes int64
-		if res.Partitioned != nil {
-			passes = res.Partitioned.Passes
-		}
-		return fmt.Errorf("deadline exceeded after %v: %d triangles found in %d passes before the run was cut short",
-			timeout, res.Triangles, passes)
-	}
-	if err != nil {
-		return err
-	}
+// printPartitioned reports a partitioned run: the schedule, the
+// coordinator's fleet when it fanned out, and the block I/O meters.
+func printPartitioned(w io.Writer, cfg core.Config, res core.Result) {
 	er := res.Partitioned
 	fmt.Fprintf(w, "# external-memory: parts=%d order=%v workers=%d\n", cfg.Parts, cfg.Order, cfg.Workers)
 	if cr := res.Coord; cr != nil {
@@ -278,39 +236,4 @@ func runPartitioned(ctx context.Context, g *graph.Graph, cfg core.Config,
 	fmt.Fprintf(w, "# triangles=%d\n", res.Triangles)
 	fmt.Fprintf(w, "# passes=%d arcs-read=%d arcs-written=%d block-reads=%d\n",
 		er.Passes, er.IO.ArcsRead, er.IO.ArcsWritten, er.IO.BlockReads)
-	fmt.Fprintf(w, "# prep=%v list=%v\n", res.PrepTime, res.ListTime)
-	return nil
-}
-
-func parseMethod(s string) (listing.Method, error) {
-	for _, m := range listing.Methods {
-		if strings.EqualFold(m.String(), s) {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown method %q (want auto or T1-T6, E1-E6, L1-L6)", s)
-}
-
-// parseOrder resolves an order name; auto reports "" or "auto", whose
-// meaning depends on how the method resolved (planner's choice under
-// -method auto, the paper-recommended order otherwise).
-func parseOrder(s string) (kind order.Kind, auto bool, err error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return 0, true, nil
-	case "ascending", "asc", "a":
-		return order.KindAscending, false, nil
-	case "descending", "desc", "d":
-		return order.KindDescending, false, nil
-	case "round-robin", "roundrobin", "rr":
-		return order.KindRoundRobin, false, nil
-	case "crr", "complementary-round-robin":
-		return order.KindCRR, false, nil
-	case "uniform", "random", "u":
-		return order.KindUniform, false, nil
-	case "degenerate", "degen", "smallest-last":
-		return order.KindDegenerate, false, nil
-	default:
-		return 0, false, fmt.Errorf("unknown order %q", s)
-	}
 }

@@ -5,9 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"trilist/internal/listing"
-	"trilist/internal/order"
 )
 
 func writeTempGraph(t *testing.T, content string) string {
@@ -75,7 +72,7 @@ func TestRunAllMethodsAndOrders(t *testing.T) {
 func TestRunWorkersAndPartitions(t *testing.T) {
 	path := writeTempGraph(t, k4)
 	for _, extra := range [][]string{
-		{"-workers", "4"},
+		{"-method", "E1", "-workers", "4"},
 		{"-parts", "3"},
 		{"-parts", "2", "-spill", t.TempDir()},
 		// Parallel partitioned sweep with retries + speculation enabled.
@@ -83,7 +80,7 @@ func TestRunWorkersAndPartitions(t *testing.T) {
 		{"-parts", "2", "-workers", "8", "-spill", t.TempDir()},
 	} {
 		var out strings.Builder
-		if err := run(append([]string{"-in", path, "-method", "E1"}, extra...), &out); err != nil {
+		if err := run(append([]string{"-in", path}, extra...), &out); err != nil {
 			t.Fatalf("%v: %v", extra, err)
 		}
 		if !strings.Contains(out.String(), "triangles=4") {
@@ -93,11 +90,15 @@ func TestRunWorkersAndPartitions(t *testing.T) {
 	// A spill dir routed through the core façade is left clean.
 	spill := t.TempDir()
 	var out strings.Builder
-	if err := run([]string{"-in", path, "-method", "E1", "-parts", "2", "-workers", "2", "-spill", spill}, &out); err != nil {
+	if err := run([]string{"-in", path, "-parts", "2", "-workers", "2", "-spill", spill}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if files, err := filepath.Glob(filepath.Join(spill, "block_*.arcs")); err != nil || len(files) != 0 {
 		t.Fatalf("spill dir not cleaned: files=%v err=%v", files, err)
+	}
+	// -order auto on a partitioned run means descending, not a plan.
+	if s := out.String(); !strings.Contains(s, "# external-memory: parts=2 order=descending") || strings.Contains(s, "# planned:") {
+		t.Fatalf("partitioned auto run not E2+descending:\n%s", s)
 	}
 }
 
@@ -109,6 +110,12 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-in", path, "-order", "zigzag"}, &out); err == nil {
 		t.Error("unknown order accepted")
+	}
+	// The partitioned lister is always the E2 block merge: a named
+	// method cannot be honored there, so it is rejected.
+	if err := run([]string{"-in", path, "-method", "E1", "-parts", "2"}, &out); err == nil ||
+		!strings.Contains(err.Error(), "cannot be combined") {
+		t.Errorf("-method E1 -parts 2: %v, want a rejection", err)
 	}
 	if err := run([]string{"-in", "/nonexistent/file"}, &out); err == nil {
 		t.Error("missing file accepted")
@@ -223,14 +230,15 @@ func TestRunPlannerModes(t *testing.T) {
 	}
 }
 
+// TestParseHelpers: the flags take the method and order names
+// case-insensitively and with their short aliases.
 func TestParseHelpers(t *testing.T) {
-	if m, err := parseMethod("e5"); err != nil || m != listing.E5 {
-		t.Fatalf("parseMethod(e5) = %v, %v", m, err)
+	path := writeTempGraph(t, k4)
+	var out strings.Builder
+	if err := run([]string{"-in", path, "-method", "e5", "-order", "smallest-last"}, &out); err != nil {
+		t.Fatal(err)
 	}
-	if _, auto, err := parseOrder("auto"); err != nil || !auto {
-		t.Fatalf("parseOrder(auto) = auto=%v, %v", auto, err)
-	}
-	if k, auto, err := parseOrder("smallest-last"); err != nil || auto || k != order.KindDegenerate {
-		t.Fatalf("parseOrder(smallest-last) = %v, auto=%v, %v", k, auto, err)
+	if !strings.Contains(out.String(), "# method=E5 order=degenerate") {
+		t.Fatalf("e5/smallest-last not resolved:\n%s", out.String())
 	}
 }

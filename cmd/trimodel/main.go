@@ -51,15 +51,9 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var method listing.Method
-	found := false
-	for _, m := range listing.Methods {
-		if strings.EqualFold(m.String(), *methodName) {
-			method, found = m, true
-		}
-	}
-	if !found {
-		return fmt.Errorf("unknown method %q", *methodName)
+	method, err := listing.ParseMethod(*methodName)
+	if err != nil {
+		return err
 	}
 	var kind order.Kind
 	switch strings.ToLower(*orderName) {

@@ -130,22 +130,44 @@ func TestChaosTransientFaults(t *testing.T) {
 // coordinator must mark it dead after DeathAfter consecutive failures,
 // re-dispatch its outstanding triples to the survivor, and finish with
 // byte-identical output.
+//
+// The crash is decided as each victim response comes back, not as the
+// request goes out, and no failure is returned until the victim's
+// earlier successes have been settled: otherwise a success admitted
+// before the crash could land after the first failure and reset the
+// node's strike count, and the node might never reach DeathAfter.
 func TestChaosNodeDeath(t *testing.T) {
 	wg := wallGraphs(t)[0]
 	baseSeq, baseRes := runLocal(t, wg.o, 5)
 	peers := startWorkers(t, 2)
 	victim := strings.TrimPrefix(peers[0], "http://")
 
-	var victimCalls atomic.Int64
-	client := chaosClient(func(req *http.Request) (*http.Response, error, bool) {
+	const healthy = 4 // victim triple responses that succeed
+	base := &http.Transport{}
+	defer base.CloseIdleConnections()
+	var victimResponses atomic.Int64
+	var settled atomic.Int64 // victim successes the coordinator has counted
+	allSettled := make(chan struct{})
+	client := &http.Client{Transport: &chaosRT{base: base, hook: func(req *http.Request) (*http.Response, error, bool) {
 		if req.URL.Host != victim || !isTriple(req) {
 			return nil, nil, false
 		}
-		if victimCalls.Add(1) > 4 {
-			return nil, errors.New("injected: node crashed"), true
+		resp, err := base.RoundTrip(req)
+		if err != nil {
+			return nil, err, true
 		}
-		return nil, nil, false
-	})
+		n := victimResponses.Add(1)
+		if n <= healthy {
+			return resp, nil, true
+		}
+		resp.Body.Close()
+		select {
+		case <-allSettled:
+		case <-time.After(10 * time.Second):
+			t.Error("victim's successes never settled")
+		}
+		return nil, errors.New("injected: node crashed"), true
+	}}}
 
 	var mu sync.Mutex
 	var downNodes []string
@@ -154,10 +176,15 @@ func TestChaosNodeDeath(t *testing.T) {
 		Client:  client,
 		Workers: 4,
 		OnEvent: func(ev coord.Event) {
-			if ev.Kind == coord.KindNodeDown {
+			switch {
+			case ev.Kind == coord.KindNodeDown:
 				mu.Lock()
 				downNodes = append(downNodes, ev.Node)
 				mu.Unlock()
+			case ev.Kind == coord.KindTask && ev.Status == "ok" && ev.Node == peers[0]:
+				if settled.Add(1) == healthy {
+					close(allSettled)
+				}
 			}
 		},
 	})

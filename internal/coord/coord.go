@@ -14,9 +14,7 @@
 // commit on the coordinator's goroutine. Partial TripleResults are
 // merged in the protocol-fixed triple-lexicographic order, so the
 // final Result — triangle sequence, Stats, and logical I/O meters —
-// is byte-identical to a single-machine extmem.Run at any node count,
-// including zero (Peers empty runs every pass locally, the same code
-// path minus HTTP).
+// is byte-identical to a single-machine extmem.Run at any node count.
 //
 // Node failure is a scheduling event, not a job failure: a node that
 // accumulates DeathAfter consecutive errors is marked dead, and every
@@ -110,16 +108,15 @@ type Event struct {
 
 // Options configures a coordinated run.
 type Options struct {
-	// Peers lists worker base URLs ("http://host:port"). Empty runs
-	// every pass locally on the coordinator — the zero-node degenerate
-	// mode, byte-identical to extmem.Run by construction.
+	// Peers lists worker base URLs ("http://host:port"); at least one
+	// is required. A local run is extmem.Run's job, not the
+	// coordinator's.
 	Peers []string
 	// Client issues the worker RPCs; nil uses http.DefaultClient.
 	// Tests inject fault-injecting transports here.
 	Client *http.Client
 	// Workers bounds concurrent triple dispatches. Defaults to twice
-	// the node count (RPC fan-out is network-bound, not CPU-bound), or
-	// 1 in local mode.
+	// the node count (RPC fan-out is network-bound, not CPU-bound).
 	Workers int
 	// MaxAttempts bounds executions per triple; defaults to
 	// max(3, nodes+1) so a single node death can never exhaust a
@@ -194,6 +191,11 @@ func Run(ctx context.Context, o *digraph.Oriented, parts int, visit listing.Visi
 	if parts < 1 {
 		return res, rep, fmt.Errorf("coord: need at least one partition, got %d", parts)
 	}
+	c := newCluster(opts)
+	rep.Nodes = len(c.nodes)
+	if rep.Nodes == 0 {
+		return res, rep, errors.New("coord: no peers: a coordinated run needs at least one worker node")
+	}
 	parts = extmem.ClampParts(parts, n)
 	if n == 0 {
 		return res, rep, nil
@@ -209,38 +211,26 @@ func Run(ctx context.Context, o *digraph.Oriented, parts int, visit listing.Visi
 	}
 	blocks := store.Blocks()
 
-	c := newCluster(opts)
-	rep.Nodes = len(c.nodes)
-	remote := len(c.nodes) > 0
-	if remote {
-		payload, err := extmem.EncodeBlocks(parts, blocks)
-		if err != nil {
-			return res, rep, err
-		}
-		c.payload = payload
-		c.setID = fmt.Sprintf("%x", sha256.Sum256(payload))
-		if err := c.registerAll(ctx); err != nil {
-			c.fillReport(&rep)
-			return res, rep, err
-		}
+	payload, err := extmem.EncodeBlocks(parts, blocks)
+	if err != nil {
+		return res, rep, err
+	}
+	c.payload = payload
+	c.setID = fmt.Sprintf("%x", sha256.Sum256(payload))
+	if err := c.registerAll(ctx); err != nil {
+		c.fillReport(&rep)
+		return res, rep, err
 	}
 
 	triples := extmem.Triples(parts)
 	workers := opts.Workers
 	if workers < 1 {
-		if remote {
-			workers = 2 * len(c.nodes)
-		} else {
-			workers = 1
-		}
+		workers = 2 * len(c.nodes)
 	}
 
 	execErr := exec.Run(ctx, len(triples),
 		func(tctx context.Context, idx int) (extmem.TripleResult, error) {
 			tr := triples[idx]
-			if !remote {
-				return extmem.RunTriple(tctx, store, tr[0], tr[1], tr[2], !countOnly)
-			}
 			nd, err := c.pick(idx)
 			if err != nil {
 				return extmem.TripleResult{}, err
@@ -266,7 +256,7 @@ func Run(ctx context.Context, o *digraph.Oriented, parts int, visit listing.Visi
 			IssueOrder: costOrder(triples, blocks),
 		})
 
-	if remote && ctx.Err() == nil {
+	if ctx.Err() == nil {
 		c.cleanup()
 	}
 	c.fillReport(&rep)
@@ -650,9 +640,6 @@ func (c *cluster) fillReport(rep *Report) {
 	defer c.mu.Unlock()
 	rep.BytesShipped = c.bytesShipped
 	rep.Redispatches = c.redispatches
-	if len(c.nodes) == 0 {
-		return
-	}
 	rep.TasksByNode = make(map[string]int64, len(c.nodes))
 	for _, nd := range c.nodes {
 		if !nd.dead {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -158,8 +159,7 @@ func sameSeq(t *testing.T, label string, got, want [][3]int32) {
 	}
 }
 
-// TestCoordDeterminismWall: across node counts {0 (coordinator-only),
-// 2, 4} × parts {2,3,5} × {ER, Pareto-root, Pareto-linear} × {list,
+// TestCoordDeterminismWall: across node counts {2, 4} × parts {2,3,5} × {ER, Pareto-root, Pareto-linear} × {list,
 // count-only}, every Result meter is byte-identical to the
 // single-machine run, the listed triangle sequence is too, and the
 // triangle set matches brute force on the undirected graph.
@@ -180,7 +180,7 @@ func TestCoordDeterminismWall(t *testing.T) {
 					}
 					seen[tri] = true
 				}
-				for _, nodes := range []int{0, 2, 4} {
+				for _, nodes := range []int{2, 4} {
 					for _, list := range []bool{true, false} {
 						cell := fmt.Sprintf("parts=%d nodes=%d list=%v", parts, nodes, list)
 						seq, res, rep, err := runMode(t, wg.o, parts, list, coord.Options{
@@ -197,9 +197,6 @@ func TestCoordDeterminismWall(t *testing.T) {
 						}
 						if rep.Nodes != nodes || rep.Alive != nodes {
 							t.Errorf("%s: report fleet %d alive %d", cell, rep.Nodes, rep.Alive)
-						}
-						if nodes == 0 {
-							continue
 						}
 						triples := int64(len(extmem.Triples(extmem.ClampParts(parts, wg.o.NumNodes()))))
 						var tasks int64
@@ -256,6 +253,13 @@ func TestCoordDegenerateInputs(t *testing.T) {
 	wg := wallGraphs(t)[0]
 	if _, _, _, err := runCoord(t, wg.o, 0, coord.Options{}); err == nil {
 		t.Fatal("parts=0 accepted")
+	}
+	// A coordinator without workers has nothing to run on; blank peer
+	// entries do not count as workers.
+	for _, peers := range [][]string{nil, {" ", ""}} {
+		if _, _, _, err := runCoord(t, wg.o, 3, coord.Options{Peers: peers}); err == nil || !strings.Contains(err.Error(), "no peers") {
+			t.Fatalf("peers %q: err = %v, want a no-peers error", peers, err)
+		}
 	}
 
 	eg, err := graph.FromEdges(0, nil, false)

@@ -6,8 +6,8 @@
 //
 // Typical use:
 //
-//	g, _ := graph.ReadEdgeList(f)
-//	res, _ := core.List(g, core.Config{Method: listing.T1, Order: order.KindDescending},
+//	ld, _ := ingest.LoadFile("graph.txt", ingest.FormatAuto, ingest.Options{})
+//	res, _ := core.List(ld.Graph, core.Config{Method: listing.T1, Order: order.KindDescending},
 //	    func(x, y, z int32) { ... })
 //	fmt.Println(res.Triangles, res.ModelOps())
 package core
@@ -15,7 +15,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"time"
 
 	"trilist/internal/coord"
@@ -46,7 +45,8 @@ type Config struct {
 	// Workers > 1 partitions the listing sweep across that many
 	// goroutines (the visitor must then be concurrency-safe) and lets
 	// Prepare parallelize the rank and orient stages; 0 or 1 runs
-	// serially. Results are bitwise identical either way.
+	// serially. Results are bitwise identical either way. With Parts > 0,
+	// Workers > 1 also re-issues the slowest in-flight pass (stragglers).
 	Workers int
 	// Kernel selects the neighbor-intersection strategy for the sweep
 	// (listing.KernelMerge, KernelGallop, KernelBitmap, KernelAuto,
@@ -80,9 +80,6 @@ type Config struct {
 	// Retry, with Parts > 0, re-runs a block-triple pass after transient
 	// store failures. The zero value means one attempt (no retry).
 	Retry extmem.RetryPolicy
-	// Speculate, with Parts > 0 and Workers > 1, enables straggler
-	// re-issue of the slowest in-flight triple pass.
-	Speculate bool
 	// ExecEvents, when non-nil with Parts > 0, taps the executor's event
 	// stream (retries, stragglers, failures). Called from worker
 	// goroutines — must be concurrency-safe.
@@ -92,12 +89,10 @@ type Config struct {
 	// executing them locally. Results stay byte-identical to the local
 	// partitioned run at any node count. SpillDir is ignored on this
 	// path: the coordinator keeps blocks in memory, since it must hold
-	// the encoded partition set for shipping anyway. Retry, Speculate,
-	// Workers and ExecEvents apply to the RPC schedule.
+	// the encoded partition set for shipping anyway. Retry, Workers and
+	// ExecEvents apply to the RPC schedule; Workers 0 gives two RPC slots
+	// per peer.
 	Peers []string
-	// CoordClient overrides the coordinator's HTTP client (tests inject
-	// fault-injecting transports); nil uses http.DefaultClient.
-	CoordClient *http.Client
 	// CoordEvents, when non-nil with Peers set, taps the coordinator's
 	// telemetry (per-node task completions, re-dispatches, node deaths,
 	// partition-set ships). Called from worker goroutines — must be
@@ -216,18 +211,60 @@ func ListOriented(ctx context.Context, o *digraph.Oriented, cfg Config, visit li
 }
 
 // listPartitioned is the Config.Parts > 0 path of ListOriented: the
-// external-memory block-triple schedule on the scatter/gather executor.
-// The block store's lifecycle is owned here — spill files are removed
-// before returning on every path, success, cancellation and error alike.
-func listPartitioned(ctx context.Context, o *digraph.Oriented, cfg Config, visit listing.Visitor) (res Result, err error) {
+// external-memory block-triple schedule, run on the local scatter/gather
+// executor or, with Peers set, fanned across remote trid workers by
+// internal/coord. The Result is byte-identical either way — coord.Run
+// commits remote TripleResults in the same protocol-fixed order — so
+// callers (and tests) can compare the two directly.
+func listPartitioned(ctx context.Context, o *digraph.Oriented, cfg Config, visit listing.Visitor) (Result, error) {
+	t1 := time.Now()
+	sp := cfg.Recorder.Start(obsv.StageList)
+	var (
+		er  extmem.Result
+		rep *coord.Report
+		err error
+	)
 	if len(cfg.Peers) > 0 {
-		return listCoordinated(ctx, o, cfg, visit)
+		var r coord.Report
+		er, r, err = coord.Run(ctx, o, cfg.Parts, visit, coord.Options{
+			Peers:       cfg.Peers,
+			Workers:     cfg.Workers,
+			MaxAttempts: cfg.Retry.Attempts,
+			Backoff:     cfg.Retry.Backoff,
+			Speculate:   cfg.Workers > 1,
+			OnEvent:     cfg.CoordEvents,
+			ExecEvents:  cfg.ExecEvents,
+		})
+		rep = &r
+	} else {
+		er, err = runLocal(ctx, o, cfg, visit)
 	}
+	sp.End()
+	return Result{
+		// The partitioned sweep is the E2 intersection restricted to
+		// block triples; its comparisons land in the same meter.
+		Stats: listing.Stats{
+			Method:      listing.E2,
+			Triangles:   er.Triangles,
+			Comparisons: er.Comparisons,
+		},
+		Order:       cfg.Order,
+		MaxOutDeg:   o.MaxOutDeg(),
+		ListTime:    time.Since(t1),
+		Partitioned: &er,
+		Coord:       rep,
+	}, err
+}
+
+// runLocal runs the partitioned schedule on this machine. The block
+// store's lifecycle is owned here — spill files are removed before
+// returning on every path, success, cancellation and error alike.
+func runLocal(ctx context.Context, o *digraph.Oriented, cfg Config, visit listing.Visitor) (er extmem.Result, err error) {
 	var store extmem.BlockStore
 	if cfg.SpillDir != "" {
 		fs, ferr := extmem.NewFileStore(cfg.SpillDir)
 		if ferr != nil {
-			return Result{}, fmt.Errorf("core: partitioned listing: %w", ferr)
+			return extmem.Result{}, fmt.Errorf("core: partitioned listing: %w", ferr)
 		}
 		store = fs
 	} else {
@@ -244,65 +281,13 @@ func listPartitioned(ctx context.Context, o *digraph.Oriented, cfg Config, visit
 		extmem.WithRecorder(cfg.Recorder),
 		extmem.WithRetry(cfg.Retry),
 	}
-	if cfg.Speculate {
+	if cfg.Workers > 1 {
 		opts = append(opts, extmem.WithSpeculation())
 	}
 	if cfg.ExecEvents != nil {
 		opts = append(opts, extmem.WithExecEvents(cfg.ExecEvents))
 	}
-
-	t1 := time.Now()
-	sp := cfg.Recorder.Start(obsv.StageList)
-	er, runErr := extmem.Run(ctx, o, cfg.Parts, store, visit, opts...)
-	sp.End()
-	res = Result{
-		// The partitioned sweep is the E2 intersection restricted to
-		// block triples; its comparisons land in the same meter.
-		Stats: listing.Stats{
-			Method:      listing.E2,
-			Triangles:   er.Triangles,
-			Comparisons: er.Comparisons,
-		},
-		Order:       cfg.Order,
-		MaxOutDeg:   o.MaxOutDeg(),
-		ListTime:    time.Since(t1),
-		Partitioned: &er,
-	}
-	return res, runErr
-}
-
-// listCoordinated is the Config.Peers path of listPartitioned: the
-// same block-triple schedule, dispatched across remote trid workers by
-// internal/coord. The Result is byte-identical to the local path —
-// coord.Run commits remote TripleResults in the identical
-// protocol-fixed order — so callers (and tests) can compare the two
-// directly.
-func listCoordinated(ctx context.Context, o *digraph.Oriented, cfg Config, visit listing.Visitor) (Result, error) {
-	t1 := time.Now()
-	sp := cfg.Recorder.Start(obsv.StageList)
-	er, rep, runErr := coord.Run(ctx, o, cfg.Parts, visit, coord.Options{
-		Peers:       cfg.Peers,
-		Client:      cfg.CoordClient,
-		Workers:     cfg.Workers,
-		MaxAttempts: cfg.Retry.Attempts,
-		Backoff:     cfg.Retry.Backoff,
-		Speculate:   cfg.Speculate,
-		OnEvent:     cfg.CoordEvents,
-		ExecEvents:  cfg.ExecEvents,
-	})
-	sp.End()
-	return Result{
-		Stats: listing.Stats{
-			Method:      listing.E2,
-			Triangles:   er.Triangles,
-			Comparisons: er.Comparisons,
-		},
-		Order:       cfg.Order,
-		MaxOutDeg:   o.MaxOutDeg(),
-		ListTime:    time.Since(t1),
-		Partitioned: &er,
-		Coord:       &rep,
-	}, runErr
+	return extmem.Run(ctx, o, cfg.Parts, store, visit, opts...)
 }
 
 // Count returns the number of triangles in g using the configured method.

@@ -45,17 +45,6 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadAny loads a graph from either format, sniffing the binary magic
-// in the first bytes and falling back to the text edge-list parser.
-func ReadAny(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	head, err := br.Peek(len(binaryMagic))
-	if err == nil && [8]byte(head) == binaryMagic {
-		return ReadBinary(br)
-	}
-	return ReadEdgeList(br)
-}
-
 // ReadBinary deserializes a binary CSR graph and validates its
 // structural invariants before returning it (corrupt or truncated input
 // is an error, never a malformed graph).

@@ -2,34 +2,14 @@ package graph
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
-// Fuzz targets guard the two parsers against corrupt input: whatever
-// bytes arrive, they must either return an error or a graph that passes
-// Validate — never panic, never emit a malformed structure. `go test`
-// runs the seed corpus; `go test -fuzz=FuzzReadEdgeList` explores.
-
-func FuzzReadEdgeList(f *testing.F) {
-	f.Add("0 1\n1 2\n")
-	f.Add("# nodes 5 edges 1\n0 1\n")
-	f.Add("")
-	f.Add("0 0\n")
-	f.Add("-1 2\n")
-	f.Add("999999999999999999 1\n")
-	f.Add("a b\n# comment\n1 2 3 4\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		g, err := ReadEdgeList(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("parsed graph fails validation: %v\ninput: %q", err, input)
-		}
-	})
-}
-
+// FuzzReadBinary guards the binary reader against corrupt input:
+// whatever bytes arrive, it must either return an error or a graph that
+// passes Validate — never panic, never emit a malformed structure.
+// `go test` runs the seed corpus; `go test -fuzz=FuzzReadBinary`
+// explores. The text edge-list reader is ingest.ParseSNAP, fuzzed there.
 func FuzzReadBinary(f *testing.F) {
 	// Seed with a valid serialization and mutations of it.
 	g, err := FromEdges(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}}, false)
@@ -52,20 +32,6 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("binary payload accepted but invalid: %v", err)
-		}
-	})
-}
-
-func FuzzReadAny(f *testing.F) {
-	f.Add([]byte("0 1\n"))
-	f.Add([]byte("TRICSR\x00\x01garbage"))
-	f.Fuzz(func(t *testing.T, input []byte) {
-		g, err := ReadAny(bytes.NewReader(input))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("ReadAny accepted invalid graph: %v", err)
 		}
 	})
 }

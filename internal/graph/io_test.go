@@ -1,23 +1,27 @@
-package graph
+package graph_test
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
+	"trilist/internal/graph"
+	"trilist/internal/ingest"
 	"trilist/internal/stats"
 )
 
+// The text edge-list reader is ingest.ParseSNAP; these tests pin that
+// WriteEdgeList output reads back through it unchanged.
+
 func TestEdgeListRoundTrip(t *testing.T) {
-	g, err := FromEdges(5, []Edge{{0, 1}, {0, 2}, {1, 2}, {2, 3}}, false)
+	g, err := graph.FromEdges(5, []graph.Edge{{0, 1}, {0, 2}, {1, 2}, {2, 3}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
+	if err := graph.WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadEdgeList(&buf)
+	g2, err := ingest.ParseSNAP(buf.Bytes(), ingest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,62 +35,9 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadEdgeListFormats(t *testing.T) {
-	in := `# a comment
-1 2
-
-2 0
-# another
-0 3
-3 1
-`
-	g, err := ReadEdgeList(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 4 || g.NumEdges() != 4 {
-		t.Fatalf("n=%d m=%d", g.NumNodes(), g.NumEdges())
-	}
-}
-
-func TestReadEdgeListCollapsesBothOrientations(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("0 1\n1 0\n0 1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("m = %d, want 1", g.NumEdges())
-	}
-}
-
-func TestReadEdgeListErrors(t *testing.T) {
-	for _, in := range []string{
-		"0\n",              // missing endpoint
-		"a b\n",            // non-numeric
-		"0 x\n",            // non-numeric second field
-		"-1 2\n",           // negative
-		"3 3\n",            // self-loop
-		"# nodes 2\n0 5\n", // header smaller than max ID
-	} {
-		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
-			t.Errorf("input %q accepted", in)
-		}
-	}
-}
-
-func TestReadEdgeListHeaderPreservesIsolatedNodes(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("# nodes 10 edges 1\n0 1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 10 {
-		t.Fatalf("n = %d, want 10 (from header)", g.NumNodes())
-	}
-}
-
 func TestLargeRoundTrip(t *testing.T) {
 	r := stats.NewRNGFromSeed(12)
-	b := NewBuilder(500, true)
+	b := graph.NewBuilder(500, true)
 	for i := 0; i < 3000; i++ {
 		u := int32(r.IntN(500))
 		v := int32(r.IntN(500))
@@ -99,10 +50,10 @@ func TestLargeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
+	if err := graph.WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadEdgeList(&buf)
+	g2, err := ingest.ParseSNAP(buf.Bytes(), ingest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,7 @@ package listing
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"trilist/internal/digraph"
 )
@@ -94,6 +95,16 @@ var Methods = func() []Method {
 	}
 	return ms
 }()
+
+// ParseMethod resolves a method name such as "E1", case-insensitively.
+func ParseMethod(s string) (Method, error) {
+	for _, m := range Methods {
+		if strings.EqualFold(m.String(), s) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown method %q (want T1-T6, E1-E6 or L1-L6)", s)
+}
 
 // Core is the set of four non-isomorphic techniques the paper's analysis
 // reduces to (Figure 5): T1, T2, E1, E4.

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"trilist/internal/graph"
 	"trilist/internal/par"
@@ -243,6 +244,27 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+}
+
+// ParseKind resolves an order name, case-insensitively: a Kind's
+// String form or one of its short aliases (asc, desc, rr, crr, u,
+// degen, smallest-last, ...).
+func ParseKind(s string) (Kind, error) {
+	switch strings.ToLower(s) {
+	case "ascending", "asc", "a":
+		return KindAscending, nil
+	case "descending", "desc", "d":
+		return KindDescending, nil
+	case "round-robin", "roundrobin", "rr":
+		return KindRoundRobin, nil
+	case "complementary-round-robin", "crr":
+		return KindCRR, nil
+	case "uniform", "random", "u":
+		return KindUniform, nil
+	case "degenerate", "degen", "smallest-last":
+		return KindDegenerate, nil
+	}
+	return 0, fmt.Errorf("unknown order %q", s)
 }
 
 // ShortName returns the paper's subscript notation.

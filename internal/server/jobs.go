@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,7 +16,6 @@ import (
 	"trilist/internal/extmem"
 	"trilist/internal/listing"
 	"trilist/internal/obsv"
-	"trilist/internal/order"
 	"trilist/internal/planner"
 )
 
@@ -55,33 +53,22 @@ type JobSpec struct {
 	// degree distribution and executes the predicted-cheapest. Explicit
 	// method names bypass the planner entirely.
 	Method string `json:"method,omitempty"`
-	// Order is a relabeling order name or "auto" (the default). The
-	// auto/explicit combinations resolve as:
-	//
-	//	method=auto,     order=auto      planner's global best pair
-	//	method=auto,     order=<name>    planner's best method under that
-	//	                                 order — rejected (400) only for
-	//	                                 the degenerate order, whose cost
-	//	                                 the model cannot price from the
-	//	                                 degree distribution (§7.5)
-	//	method=<name>,   order=auto      the paper-optimal order for the
-	//	                                 method (Corollaries 1–2)
-	//	method=<name>,   order=<name>    exactly as requested
+	// Order is a relabeling order name or "auto" (the default). Method,
+	// Order, Kernel and Parts resolve by the table on core.Resolve; a
+	// rejected combination answers 400.
 	Order string `json:"order,omitempty"`
 	// Kernel is the intersection kernel: "merge", "gallop", "bitmap",
 	// "bits", "hybrid", or "auto" (default). Kernels change only
-	// wall-clock speed — the triangle set and every cost meter are
-	// kernel-invariant. On planner-driven jobs (method auto) "auto"
-	// resolves through the planner's priced kernel choice when the
-	// chosen method is a scanning-edge iterator; the resolution is
-	// reported as planned_kernel. Explicit kernel names always execute
-	// exactly as named.
+	// wall-clock speed. On planner-driven jobs "auto" may resolve to the
+	// plan's priced kernel, reported as planned_kernel.
 	Kernel string `json:"kernel,omitempty"`
 	// Seed feeds the uniform order's RNG; other orders ignore it.
 	Seed uint64 `json:"seed,omitempty"`
-	// Workers parallelizes the sweep (0 = serial). Capped at GOMAXPROCS.
-	// With Parts > 0 it sizes the block-triple worker pool instead;
-	// results are identical at any worker count either way.
+	// Workers parallelizes the sweep; 0 (the default) uses GOMAXPROCS
+	// goroutines. Capped at GOMAXPROCS. With Parts > 0 it sizes the
+	// block-triple worker pool instead, where 0 runs the passes one at a
+	// time locally and gives two RPC slots per peer on a coordinator.
+	// Results are identical at any worker count either way.
 	Workers int `json:"workers,omitempty"`
 	// Parts > 0 runs the job through the external-memory partitioned
 	// lister: the orientation is split into Parts label ranges and swept
@@ -104,23 +91,14 @@ type JobSpec struct {
 
 // Job is one queued or executing listing request.
 type Job struct {
-	id     string
-	spec   JobSpec
-	method listing.Method
-	kind   order.Kind
-	kernel listing.Kernel
-	list   bool
-	limit  int
-	parts  int
-	// planned marks a job whose method/order came from the planner;
-	// predicted is the plan's total model-op prediction for the pair.
-	planned   bool
-	predicted float64
-	// plannedKernel marks a kernel=auto job whose kernel came from the
-	// plan's priced choice; coreThresh is the τ that choice carries
-	// (only consumed by the bit-parallel kernels).
-	plannedKernel bool
-	coreThresh    int32
+	id   string
+	spec JobSpec
+	// cfg is the resolved query (core.Resolve plus the effective
+	// worker count); plan is non-nil when the planner chose it.
+	cfg   core.Config
+	plan  *core.Planned
+	list  bool
+	limit int
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -213,9 +191,9 @@ func (j *Job) View() JobView {
 		Status:    string(j.status),
 		Graph:     j.spec.Graph,
 		Mode:      map[bool]string{true: "list", false: "count"}[j.list],
-		Method:    j.method.String(),
-		Order:     j.kind.String(),
-		Kernel:    j.kernel.String(),
+		Method:    j.cfg.Method.String(),
+		Order:     j.cfg.Order.String(),
+		Kernel:    j.cfg.Kernel.String(),
 		Workers:   j.spec.Workers,
 		Error:     j.errMsg,
 		CacheHit:  j.cacheHit,
@@ -224,23 +202,21 @@ func (j *Job) View() JobView {
 		ModelOps:  j.stats.ModelOps(),
 		MaxOutDeg: j.maxOutDeg,
 	}
-	if j.planned {
-		v.PlannedMethod = j.method.String()
-		v.PlannedOrder = j.kind.String()
-		v.PredictedCost = j.predicted
-		if j.plannedKernel {
-			v.PlannedKernel = j.kernel.String()
+	if j.plan != nil {
+		v.PlannedMethod = v.Method
+		v.PlannedOrder = v.Order
+		v.PredictedCost = j.plan.Total
+		if j.plan.Kernel {
+			v.PlannedKernel = v.Kernel
 		}
 		if j.status == JobDone {
 			v.ActualAdvWork = j.stats.ModelOps()
 			if v.ActualAdvWork > 0 {
-				v.PredictedActualRatio = j.predicted / float64(v.ActualAdvWork)
+				v.PredictedActualRatio = j.plan.Total / float64(v.ActualAdvWork)
 			}
 		}
 	}
-	if j.parts > 0 {
-		v.Parts = j.parts
-	}
+	v.Parts = j.cfg.Parts
 	if j.partRes != nil {
 		v.Passes = j.partRes.Passes
 		io := j.partRes.IO
@@ -287,10 +263,23 @@ type Manager struct {
 	draining bool
 	closed   bool
 	jobs     map[string]*Job
+	// finished holds the ids of finished jobs still in jobs, oldest
+	// first; retire trims it to maxFinishedJobs.
+	finished []string
 	queue    chan *Job
 	seq      int64
 	wg       sync.WaitGroup
 }
+
+// maxFinishedJobs bounds the finished jobs kept for polling: as many
+// as the default queue holds, so a job submitted into a full queue is
+// still pollable after the whole queue behind it has run. Past it the
+// oldest finished job is dropped and its id answers 404; queued and
+// running jobs are never dropped. A finished list job holds at most
+// MaxListLimit triangles of 12 bytes, so at the default limit of
+// 100,000 the kept triangles take at most 64 × 1.2 MB ≈ 77 MB, plus
+// the spare capacity append leaves (under a quarter more).
+const maxFinishedJobs = 64
 
 // testHookJobStart, when non-nil, runs at the top of every job
 // execution — test plumbing for deterministic in-flight states.
@@ -318,41 +307,6 @@ func NewManager(opts Options, reg *Registry, m *serverMetrics) *Manager {
 	return mgr
 }
 
-// parseMethod resolves an explicit method name (case-insensitive).
-// "auto" and "" never reach it — Enqueue routes those through the
-// planner instead of silently defaulting.
-func parseMethod(s string) (listing.Method, error) {
-	for _, m := range listing.Methods {
-		if strings.EqualFold(m.String(), s) {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown method %q (want auto or T1-T6, E1-E6, L1-L6)", s)
-}
-
-// parseOrder resolves an order name; auto reports "" or "auto", whose
-// meaning depends on how the method resolved (see JobSpec.Order).
-func parseOrder(s string) (kind order.Kind, auto bool, err error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return 0, true, nil
-	case "ascending", "asc", "a":
-		return order.KindAscending, false, nil
-	case "descending", "desc", "d":
-		return order.KindDescending, false, nil
-	case "round-robin", "roundrobin", "rr":
-		return order.KindRoundRobin, false, nil
-	case "crr", "complementary-round-robin":
-		return order.KindCRR, false, nil
-	case "uniform", "random", "u":
-		return order.KindUniform, false, nil
-	case "degenerate", "degen", "smallest-last":
-		return order.KindDegenerate, false, nil
-	default:
-		return 0, false, fmt.Errorf("unknown order %q", s)
-	}
-}
-
 // MaxParts caps a job's requested partition count: P³ triple passes
 // get scheduled, so an unbounded P would turn one request into a
 // quarter-million tiny passes.
@@ -361,82 +315,13 @@ const MaxParts = 64
 // Enqueue validates the spec and admits the job to the bounded queue.
 // Returns ErrDraining during shutdown and ErrQueueFull at capacity.
 func (mgr *Manager) Enqueue(spec JobSpec) (*Job, error) {
-	kind, orderAuto, err := parseOrder(spec.Order)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Parts < 0 {
-		return nil, fmt.Errorf("negative parts %d", spec.Parts)
-	}
 	if spec.Parts > MaxParts {
 		spec.Parts = MaxParts
 	}
-	var (
-		method    listing.Method
-		planned   bool
-		predicted float64
-		kplan     *planner.KernelPlan
-	)
-	if spec.Parts > 0 {
-		// Partitioned jobs run the fixed E2-style block-merge sweep; the
-		// planner's method grid does not apply, and an explicit method
-		// would silently not be honored — reject instead.
-		if spec.Method != "" && !strings.EqualFold(spec.Method, "auto") {
-			return nil, fmt.Errorf("parts > 0 uses the partitioned E2 block sweep; method %q cannot be combined with it", spec.Method)
-		}
-		method = listing.E2
-		if orderAuto {
-			kind = order.KindDescending
-		}
-	} else if spec.Method == "" || strings.EqualFold(spec.Method, "auto") {
-		// Planner-driven resolution (memoized per graph; also the
-		// registration check for this path). An explicit order constrains
-		// the search to its column of the grid; only the degenerate order
-		// is un-plannable — eq. (50) cannot price it from the degree
-		// distribution alone.
-		plan, err := mgr.reg.Plan(spec.Graph)
-		if err != nil {
-			return nil, err
-		}
-		c := plan.Best()
-		if !orderAuto {
-			var ok bool
-			c, ok = plan.BestUnder(kind)
-			if !ok {
-				return nil, fmt.Errorf("method=auto cannot plan order %q: its cost is not predictable from the degree distribution; name a method explicitly", spec.Order)
-			}
-		}
-		method, kind = c.Method, c.Order
-		planned, predicted = true, c.Total
-		kplan = &plan.Kernel
-	} else {
-		method, err = parseMethod(spec.Method)
-		if err != nil {
-			return nil, err
-		}
-		if orderAuto {
-			kind = core.Recommended(method)
-		}
-	}
-	kern, err := listing.ParseKernel(spec.Kernel)
+	cfg, plan, err := core.Resolve(spec.Method, spec.Order, spec.Kernel, spec.Parts,
+		func() (*planner.Plan, error) { return mgr.reg.Plan(spec.Graph) })
 	if err != nil {
 		return nil, err
-	}
-	// kernel=auto on a planner-driven job resolves through the plan's
-	// priced kernel choice — but only when the planner put the job on a
-	// scanning-edge iterator: the other families do no list
-	// intersection, so the adaptive default already costs nothing.
-	// Explicit kernel names (and explicit-method jobs) bypass pricing
-	// and behave exactly as before.
-	var (
-		plannedKernel bool
-		coreThresh    int32
-	)
-	if kern == listing.KernelAuto && kplan != nil &&
-		method.Family() == listing.ScanningEdgeIterator {
-		kern = kplan.Kernel
-		coreThresh = kplan.CoreThreshold
-		plannedKernel = true
 	}
 	var isList bool
 	switch spec.Mode {
@@ -463,6 +348,10 @@ func (mgr *Manager) Enqueue(spec JobSpec) (*Job, error) {
 	}
 	if spec.Workers > maxWorkers {
 		spec.Workers = maxWorkers
+	}
+	cfg.Workers = spec.Workers
+	if cfg.Workers == 0 && cfg.Parts == 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	limit := spec.Limit
 	if limit <= 0 {
@@ -496,19 +385,12 @@ func (mgr *Manager) Enqueue(spec JobSpec) (*Job, error) {
 	}
 	mgr.seq++
 	j := &Job{
-		id:        fmt.Sprintf("job-%d", mgr.seq),
-		spec:      spec,
-		method:    method,
-		kind:      kind,
-		kernel:    kern,
-		list:      isList,
-		limit:     limit,
-		parts:     spec.Parts,
-		planned:   planned,
-		predicted: predicted,
-
-		plannedKernel: plannedKernel,
-		coreThresh:    coreThresh,
+		id:    fmt.Sprintf("job-%d", mgr.seq),
+		spec:  spec,
+		cfg:   cfg,
+		plan:  plan,
+		list:  isList,
+		limit: limit,
 
 		ctx:      ctx,
 		cancel:   cancel,
@@ -562,6 +444,7 @@ func (mgr *Manager) Counts() (queued, running int) {
 // and finalize status + metrics.
 func (mgr *Manager) runJob(j *Job) {
 	defer close(j.done)
+	defer mgr.retire(j)
 	defer j.cancel() // release the timeout timer
 
 	j.mu.Lock()
@@ -581,7 +464,7 @@ func (mgr *Manager) runJob(j *Job) {
 	// A job cancelled (or timed out) while queued never touches the
 	// registry or the sweep.
 	if err := j.ctx.Err(); err != nil {
-		mgr.finalize(j, listing.Stats{Method: j.method}, 0, err)
+		mgr.finalize(j, listing.Stats{Method: j.cfg.Method}, 0, err)
 		return
 	}
 
@@ -589,7 +472,7 @@ func (mgr *Manager) runJob(j *Job) {
 	// miss, the sweep records list; the snapshot feeds both the
 	// per-stage histograms and the job's stage_ms breakdown.
 	rec := obsv.NewRecorder(obsv.WithAllocSampler(nil))
-	o, hit, err := mgr.reg.Oriented(j.spec.Graph, j.kind, j.spec.Seed, rec)
+	o, hit, err := mgr.reg.Oriented(j.spec.Graph, j.cfg.Order, j.spec.Seed, rec)
 	if err != nil {
 		mgr.fail(j, err)
 		return
@@ -616,73 +499,51 @@ func (mgr *Manager) runJob(j *Job) {
 			}
 		}
 	}
-	start := time.Now()
-	var st listing.Stats
-	var tier listing.TierStats
-	var runErr error
-	if j.parts > 0 {
-		// Partitioned sweep: block-triple schedule on the scatter/gather
-		// executor — local when Peers is empty, fanned across the
-		// configured worker fleet otherwise (the coordinator path keeps
-		// blocks in memory, so SpillDir only applies locally). Spills go
-		// to a per-job subdir when configured (core removes the block
-		// files on every path; the subdir itself is dropped here).
-		spill := ""
-		if mgr.opts.SpillDir != "" && len(mgr.opts.Peers) == 0 {
-			spill = filepath.Join(mgr.opts.SpillDir, j.id)
-		}
-		var res core.Result
-		res, runErr = core.ListOriented(j.ctx, o, core.Config{
-			Order:       j.kind,
-			Workers:     j.spec.Workers,
-			Recorder:    rec,
-			Parts:       j.parts,
-			SpillDir:    spill,
-			Speculate:   j.spec.Workers > 1,
-			ExecEvents:  mgr.execEventHook(),
-			Peers:       mgr.opts.Peers,
-			CoordEvents: mgr.coordEventHook(),
-		}, visit)
-		st = res.Stats
-		j.mu.Lock()
-		j.partRes = res.Partitioned
-		j.coordRep = res.Coord
-		j.mu.Unlock()
-		if spill != "" {
-			_ = os.Remove(spill)
-		}
-	} else {
-		st, runErr = listing.RunParallelCtx(j.ctx, o, j.method, j.spec.Workers, visit,
-			listing.WithKernel(j.kernel), listing.WithRecorder(rec),
-			listing.WithCoreThreshold(j.coreThresh), listing.WithTierStats(&tier))
+	// Partitioned jobs run local when Peers is empty and fan across the
+	// worker fleet otherwise. A local job spills to its own subdir when
+	// configured: core removes the block files on every path, the
+	// subdir itself is dropped here.
+	cfg := j.cfg
+	cfg.Recorder = rec
+	cfg.Peers = mgr.opts.Peers
+	cfg.ExecEvents = mgr.execEventHook()
+	cfg.CoordEvents = mgr.coordEventHook()
+	if cfg.Parts > 0 && mgr.opts.SpillDir != "" && len(cfg.Peers) == 0 {
+		cfg.SpillDir = filepath.Join(mgr.opts.SpillDir, j.id)
+		defer os.Remove(cfg.SpillDir)
 	}
+	start := time.Now()
+	res, runErr := core.ListOriented(j.ctx, o, cfg, visit)
 
 	snap := rec.Snapshot()
 	j.mu.Lock()
+	j.partRes = res.Partitioned
+	j.coordRep = res.Coord
 	j.stageMS = make(map[string]float64, len(snap))
 	for stage, ss := range snap {
 		j.stageMS[string(stage)] = float64(ss.Wall) / float64(time.Millisecond)
 	}
 	j.mu.Unlock()
 
-	mgr.finalize(j, st, o.MaxOutDeg(), runErr)
+	mgr.finalize(j, res.Stats, res.MaxOutDeg, runErr)
 	if mgr.m != nil {
-		mgr.m.jobDuration.With(j.method.String()).Observe(time.Since(start).Seconds())
-		mgr.m.kernelDuration.With(j.kernel.String()).Observe(time.Since(start).Seconds())
-		mgr.m.jobsByKernel.With(j.kernel.String()).Inc()
-		mgr.m.trianglesListed.Add(st.Triangles)
-		if j.kernel == listing.KernelBits || j.kernel == listing.KernelHybrid {
+		method, kern := j.cfg.Method.String(), j.cfg.Kernel.String()
+		mgr.m.jobDuration.With(method).Observe(time.Since(start).Seconds())
+		mgr.m.kernelDuration.With(kern).Observe(time.Since(start).Seconds())
+		mgr.m.jobsByKernel.With(kern).Inc()
+		mgr.m.trianglesListed.Add(res.Triangles)
+		if j.cfg.Kernel == listing.KernelBits || j.cfg.Kernel == listing.KernelHybrid {
 			// TierStats are zeroed unless the sweep actually built the
 			// bit tier, so the gauge tracks the latest bit-parallel run.
-			mgr.m.kernelCoreVertices.Set(tier.CoreVertices)
-			mgr.m.kernelTierTotal.With("core").Add(tier.CorePairs)
-			mgr.m.kernelTierTotal.With("fringe").Add(tier.FringePairs)
+			mgr.m.kernelCoreVertices.Set(res.Tier.CoreVertices)
+			mgr.m.kernelTierTotal.With("core").Add(res.Tier.CorePairs)
+			mgr.m.kernelTierTotal.With("fringe").Add(res.Tier.FringePairs)
 		}
 		for stage, ss := range snap {
 			mgr.m.stageDuration.With(string(stage)).Observe(ss.Wall.Seconds())
 		}
-		if j.planned {
-			mgr.m.plannerJobs.With(j.method.String()).Inc()
+		if j.plan != nil {
+			mgr.m.plannerJobs.With(method).Inc()
 			// The predicted/actual ratio only means something for a sweep
 			// that ran to completion: partial sweeps do a prefix of the
 			// advertised work.
@@ -691,9 +552,21 @@ func (mgr *Manager) runJob(j *Job) {
 			actual := j.stats.ModelOps()
 			j.mu.Unlock()
 			if completed && actual > 0 {
-				mgr.m.plannerRatio.With(j.method.String()).Observe(j.predicted / float64(actual))
+				mgr.m.plannerRatio.With(method).Observe(j.plan.Total / float64(actual))
 			}
 		}
+	}
+}
+
+// retire records j as finished and drops the oldest finished jobs past
+// maxFinishedJobs.
+func (mgr *Manager) retire(j *Job) {
+	mgr.mu.Lock()
+	defer mgr.mu.Unlock()
+	mgr.finished = append(mgr.finished, j.id)
+	for len(mgr.finished) > maxFinishedJobs {
+		delete(mgr.jobs, mgr.finished[0])
+		mgr.finished = mgr.finished[1:]
 	}
 }
 

@@ -155,7 +155,7 @@ func TestKernelAutoResolution(t *testing.T) {
 	if err := json.Unmarshal(out, &pv); err != nil {
 		t.Fatal(err)
 	}
-	chosen, err := parseMethod(pv.Chosen.Method)
+	chosen, err := listing.ParseMethod(pv.Chosen.Method)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -396,6 +397,80 @@ func TestJobErrorPaths(t *testing.T) {
 	}
 	if code, _ := e.do(t, "DELETE", "/v1/jobs/job-999", nil); code != http.StatusNotFound {
 		t.Fatal("unknown job id cancellable")
+	}
+}
+
+// TestEnqueueEffectiveWorkers: workers 0 means GOMAXPROCS goroutines
+// for an in-memory sweep and a one-at-a-time pass schedule for a local
+// partitioned job; the view reports the workers the client sent.
+func TestEnqueueEffectiveWorkers(t *testing.T) {
+	e := newTestEnv(t, Options{})
+	gi := e.register(t, []byte(k4))
+	for _, c := range []struct {
+		spec JobSpec
+		want int
+	}{
+		{JobSpec{Graph: gi.ID, Method: "E1"}, runtime.GOMAXPROCS(0)},
+		{JobSpec{Graph: gi.ID}, runtime.GOMAXPROCS(0)},
+		{JobSpec{Graph: gi.ID, Method: "E1", Workers: 1}, 1},
+		{JobSpec{Graph: gi.ID, Parts: 2}, 0},
+		{JobSpec{Graph: gi.ID, Parts: 2, Workers: 1}, 1},
+	} {
+		j, err := e.srv.jobs.Enqueue(c.spec)
+		if err != nil {
+			t.Fatalf("spec %+v: %v", c.spec, err)
+		}
+		<-j.Done()
+		if j.cfg.Workers != c.want {
+			t.Errorf("spec %+v: effective workers %d, want %d", c.spec, j.cfg.Workers, c.want)
+		}
+		if v := j.View(); v.Workers != c.spec.Workers || v.Status != string(JobDone) || v.Triangles != 4 {
+			t.Errorf("spec %+v: view %+v", c.spec, v)
+		}
+	}
+}
+
+// TestFinishedJobEviction: past maxFinishedJobs the oldest finished job
+// is dropped (404), in finishing order, while a running job is kept no
+// matter how many others finish around it.
+func TestFinishedJobEviction(t *testing.T) {
+	release := make(chan struct{})
+	testHookJobStart = func(j *Job) {
+		if j.id == "job-1" {
+			<-release
+		}
+	}
+	t.Cleanup(func() { testHookJobStart = nil }) // after the env cleanup drains the pool
+
+	e := newTestEnv(t, Options{Workers: 2})
+	gi := e.register(t, []byte(k4))
+	_, held := e.postJob(t, JobSpec{Graph: gi.ID})
+	if held.ID != "job-1" {
+		t.Fatalf("first job id %q", held.ID)
+	}
+	waitStatus(t, e, held.ID, "running")
+	for i := 0; i < maxFinishedJobs+2; i++ {
+		if code, v := e.postJob(t, JobSpec{Graph: gi.ID, Wait: true}); code != http.StatusOK || v.Status != "done" {
+			t.Fatalf("job %d: code=%d view=%+v", i, code, v)
+		}
+	}
+	last := fmt.Sprintf("job-%d", maxFinishedJobs+3)
+	check := func(want map[string]int) {
+		t.Helper()
+		for id, code := range want {
+			if got, _ := e.do(t, "GET", "/v1/jobs/"+id, nil); got != code {
+				t.Errorf("GET %s: status %d, want %d", id, got, code)
+			}
+		}
+	}
+	check(map[string]int{"job-1": 200, "job-2": 404, "job-3": 404, "job-4": 200, last: 200})
+
+	// The held job finishes last, so it evicts the then-oldest, job-4.
+	close(release)
+	waitDone(t, e, held.ID)
+	check(map[string]int{"job-1": 200, "job-4": 404, "job-5": 200, last: 200})
+	if q, r := e.srv.jobs.Counts(); q != 0 || r != 0 {
+		t.Errorf("counts queued=%d running=%d, want 0/0", q, r)
 	}
 }
 
