@@ -15,12 +15,11 @@
 // scanning-edge run takes the plan's priced kernel. -plan prints the
 // full ranked prediction table and exits without sweeping — the
 // explain mode. -kernel picks the neighbor-intersection strategy
-// (merge, gallop, bitmap, the bit-parallel bits/hybrid pair, or auto);
-// kernels change only wall-clock speed — the triangle set and every
-// reported cost meter are kernel-invariant.
-// -core-thresh sets the bit tier's core degree threshold τ for
-// -kernel bits/hybrid (0 = every vertex with a neighbor list gets a
-// packed row, budget permitting). -print emits each triangle as "x y z" in relabeled
+// (merge, bitmap, the bit-parallel hybrid, or auto); kernels change
+// only wall-clock speed — the triangle set and every reported cost
+// meter are kernel-invariant. The names are checked before the graph
+// is read, so a typo fails at once even on a large input.
+// -print emits each triangle as "x y z" in relabeled
 // IDs; omit it to report only the count and cost meters. Input may be a
 // MatrixMarket .mtx file, a SNAP-style text edge list, the mmap-able
 // TRCSRF CSR format, or the binary CSR stream — auto-detected, or
@@ -60,7 +59,6 @@ import (
 
 	"trilist/internal/core"
 	"trilist/internal/extmem"
-	"trilist/internal/graph"
 	"trilist/internal/ingest"
 	"trilist/internal/listing"
 	"trilist/internal/obsv"
@@ -80,8 +78,7 @@ func run(args []string, out io.Writer) error {
 	formatName := fs.String("format", "auto", "input format: auto, mtx, snap, csr, binary")
 	methodName := fs.String("method", "auto", "listing method: auto (planner-chosen) or T1-T6, E1-E6, L1-L6")
 	orderName := fs.String("order", "auto", "order: auto, ascending, descending, round-robin, crr, uniform, degenerate")
-	kernelName := fs.String("kernel", "auto", "intersection kernel: merge, gallop, bitmap, bits, hybrid, auto")
-	coreThresh := fs.Int("core-thresh", 0, "bit-tier core degree threshold for -kernel bits/hybrid (0 = all listed vertices)")
+	kernelName := fs.String("kernel", "auto", "intersection kernel: merge, bitmap, hybrid, auto")
 	plan := fs.Bool("plan", false, "print the planner's ranked (method, order) cost table and exit without running")
 	print := fs.Bool("print", false, "print each triangle (relabeled IDs x y z)")
 	seed := fs.Uint64("seed", 1, "seed for the uniform order")
@@ -118,51 +115,55 @@ func run(args []string, out io.Writer) error {
 		rec = obsv.NewRecorder()
 	}
 	iopts := ingest.Options{Workers: *workers, Recorder: rec}
-	var g *graph.Graph
-	if *in != "" {
-		ld, err := ingest.LoadFile(*in, format, iopts)
-		if err != nil {
-			return err
-		}
-		defer ld.Close()
-		g = ld.Graph
-	} else {
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			return err
-		}
-		g, _, err = ingest.Parse(data, format, iopts)
-		if err != nil {
-			return err
-		}
-	}
+	var ld *ingest.Loaded
+	defer func() { ld.Close() }()
 	w := bufio.NewWriter(out)
 	defer w.Flush()
 	if *plan {
 		// Explain mode: price the grid, print the ranking, run nothing.
-		p, err := planner.Compute(g, planner.WithWorkers(*workers))
+		if ld, err = loadGraph(*in, format, iopts); err != nil {
+			return err
+		}
+		p, err := planner.Compute(ld.Graph, planner.WithWorkers(*workers))
 		if err != nil {
 			return err
 		}
 		_, err = io.WriteString(w, p.Format())
 		return err
 	}
-	fmt.Fprintf(w, "# graph: n=%d m=%d\n", g.NumNodes(), g.NumEdges())
+	// Resolve checks every name before it asks for the plan, so the
+	// graph is read only once the query is known to be valid: by the
+	// plan callback on planned runs, right after Resolve otherwise.
+	load := func() error {
+		if ld != nil {
+			return nil
+		}
+		var err error
+		if ld, err = loadGraph(*in, format, iopts); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "# graph: n=%d m=%d\n", ld.Graph.NumNodes(), ld.Graph.NumEdges())
+		return nil
+	}
 	cfg, planned, err := core.Resolve(*methodName, *orderName, *kernelName, nparts, func() (*planner.Plan, error) {
-		return planner.Compute(g, planner.WithWorkers(*workers))
+		if err := load(); err != nil {
+			return nil, err
+		}
+		return planner.Compute(ld.Graph, planner.WithWorkers(*workers))
 	})
 	if err != nil {
 		return err
 	}
+	if err := load(); err != nil {
+		return err
+	}
+	g := ld.Graph
 	if planned != nil {
 		fmt.Fprintf(w, "# planned: method=%v order=%v predicted-cost=%.6g\n", cfg.Method, cfg.Order, planned.Total)
 	}
 	cfg.Seed, cfg.Workers, cfg.Recorder = *seed, *workers, rec
 	cfg.SpillDir, cfg.Peers = *spill, peers
 	cfg.Retry = extmem.RetryPolicy{Attempts: *retries, Backoff: *retryBackoff}
-	if *coreThresh > 0 {
-		cfg.CoreThreshold = int32(*coreThresh)
-	}
 	var visit listing.Visitor
 	if *print {
 		visit = func(x, y, z int32) { fmt.Fprintf(w, "%d %d %d\n", x, y, z) }
@@ -195,14 +196,27 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(w, "# model-ops=%d (per-node cost %.3f)\n",
 			res.ModelOps(), float64(res.ModelOps())/float64(g.NumNodes()))
 		fmt.Fprintf(w, "# max-out-degree=%d\n", res.MaxOutDeg)
-		if cfg.Kernel == listing.KernelBits || cfg.Kernel == listing.KernelHybrid {
-			fmt.Fprintf(w, "# bit-tier: tau=%d core-vertices=%d row-bytes=%d core-pairs=%d fringe-pairs=%d\n",
-				res.Tier.Threshold, res.Tier.CoreVertices, res.Tier.RowBytes, res.Tier.CorePairs, res.Tier.FringePairs)
-		}
 	}
 	fmt.Fprintf(w, "# prep=%v list=%v\n", res.PrepTime, res.ListTime)
 	printStages(w, rec)
 	return nil
+}
+
+// loadGraph reads the graph at path, or from stdin when path is empty.
+// Close the result once the graph is no longer needed.
+func loadGraph(path string, format ingest.Format, opts ingest.Options) (*ingest.Loaded, error) {
+	if path != "" {
+		return ingest.LoadFile(path, format, opts)
+	}
+	data, err := io.ReadAll(os.Stdin)
+	if err != nil {
+		return nil, err
+	}
+	g, f, err := ingest.Parse(data, format, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &ingest.Loaded{Graph: g, Format: f}, nil
 }
 
 // printStages renders the -stages breakdown as comment lines.

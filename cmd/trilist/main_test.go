@@ -120,6 +120,20 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-in", "/nonexistent/file"}, &out); err == nil {
 		t.Error("missing file accepted")
 	}
+	// Names are checked before the graph is read: a bad method fails on
+	// its name even when the file is missing, and a rejected query
+	// prints nothing about the graph.
+	if err := run([]string{"-in", "/nonexistent/file", "-method", "T9"}, &out); err == nil ||
+		!strings.Contains(err.Error(), "unknown method") {
+		t.Errorf("-method T9 on a missing file: %v, want the method rejected", err)
+	}
+	out.Reset()
+	if err := run([]string{"-in", path, "-method", "E1", "-parts", "2"}, &out); err == nil {
+		t.Error("-method E1 -parts 2 accepted")
+	}
+	if strings.Contains(out.String(), "# graph:") {
+		t.Errorf("rejected query read the graph:\n%s", out.String())
+	}
 	bad := writeTempGraph(t, "0 zebra\n")
 	if err := run([]string{"-in", bad}, &out); err == nil {
 		t.Error("malformed input accepted")

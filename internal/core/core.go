@@ -49,13 +49,13 @@ type Config struct {
 	// Workers > 1 also re-issues the slowest in-flight pass (stragglers).
 	Workers int
 	// Kernel selects the neighbor-intersection strategy for the sweep
-	// (listing.KernelMerge, KernelGallop, KernelBitmap, KernelAuto,
-	// KernelBits, KernelHybrid). The zero value is KernelMerge, the
-	// historical behavior; every kernel returns the same triangles and
-	// bitwise-identical Stats, differing only in wall-clock speed.
+	// (listing.KernelMerge, KernelBitmap, KernelAuto, KernelHybrid).
+	// The zero value is KernelMerge, the historical behavior; every
+	// kernel returns the same triangles and bitwise-identical Stats,
+	// differing only in wall-clock speed.
 	Kernel listing.Kernel
-	// CoreThreshold is the bit-parallel kernels' core degree threshold
-	// τ (listing.WithCoreThreshold): vertices whose remote-side degree
+	// CoreThreshold is KernelHybrid's core degree threshold τ
+	// (listing.WithCoreThreshold): vertices whose remote-side degree
 	// reaches τ carry packed bit rows. ≤ 0 selects automatically under
 	// the row-memory budget. Ignored by the list kernels.
 	CoreThreshold int32
@@ -123,10 +123,6 @@ type Result struct {
 	// shipped, re-dispatches) when the run went through Config.Peers;
 	// nil otherwise. Telemetry only — nothing in it feeds Stats.
 	Coord *coord.Report
-	// Tier reports the bit-parallel core/fringe split when the run used
-	// KernelBits or KernelHybrid on an in-memory SEI sweep; zero
-	// otherwise. Telemetry only — Stats stays kernel-invariant.
-	Tier listing.TierStats
 }
 
 // Prepare performs steps 1–2 of the framework: relabel g by cfg.Order and
@@ -189,11 +185,10 @@ func ListOriented(ctx context.Context, o *digraph.Oriented, cfg Config, visit li
 	}
 	t1 := time.Now()
 	var st listing.Stats
-	var tier listing.TierStats
 	var runErr error
 	opts := []listing.Option{
 		listing.WithKernel(cfg.Kernel), listing.WithRecorder(cfg.Recorder),
-		listing.WithCoreThreshold(cfg.CoreThreshold), listing.WithTierStats(&tier),
+		listing.WithCoreThreshold(cfg.CoreThreshold),
 	}
 	if cfg.Workers > 1 {
 		st, runErr = listing.RunParallelCtx(ctx, o, cfg.Method, cfg.Workers, visit, opts...)
@@ -206,7 +201,6 @@ func ListOriented(ctx context.Context, o *digraph.Oriented, cfg Config, visit li
 		Order:     cfg.Order,
 		MaxOutDeg: o.MaxOutDeg(),
 		ListTime:  t2.Sub(t1),
-		Tier:      tier,
 	}, runErr
 }
 

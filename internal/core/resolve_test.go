@@ -57,8 +57,8 @@ func TestResolveTable(t *testing.T) {
 			want: want{listing.E3, order.KindAscending, listing.KernelHybrid, 40, 7, true}},
 		{name: "auto×degenerate", ord: "degenerate", plan: seiPlan, wantPlanCalls: 1,
 			wantErr: "cannot plan order"},
-		{name: "explicit kernel on planned SEI", kernel: "gallop", plan: seiPlan, wantPlanCalls: 1,
-			want: want{listing.E1, order.KindDescending, listing.KernelGallop, 0, 10, false}},
+		{name: "explicit kernel on planned SEI", kernel: "bitmap", plan: seiPlan, wantPlanCalls: 1,
+			want: want{listing.E1, order.KindDescending, listing.KernelBitmap, 0, 10, false}},
 		{name: "explicit×auto", method: "E4",
 			want: want{listing.E4, order.KindCRR, listing.KernelAuto, 0, 0, false}},
 		{name: "explicit SEI × auto keeps kernel auto", method: "e1", kernel: "auto",

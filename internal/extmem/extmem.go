@@ -18,10 +18,10 @@
 // set, while results are committed in triple-lexicographic order on the
 // calling goroutine — the triangle sequence, the visitor callsite, and
 // every Result field are byte-identical at any worker count. Retry with
-// backoff (WithRetry), per-triple timeouts (WithTripleTimeout) and
-// straggler re-issue (WithSpeculation) make the schedule robust against
-// flaky stores without perturbing that determinism: I/O meters come
-// from the committed execution of each triple, never from losing copies.
+// backoff (WithRetry) and straggler re-issue (WithSpeculation) make the
+// schedule robust against flaky stores without perturbing that
+// determinism: I/O meters come from the committed execution of each
+// triple, never from losing copies.
 //
 // Blocks live behind the BlockStore interface: MemStore simulates I/O
 // (and meters it) for tests and experiments; FileStore spills real
@@ -113,12 +113,11 @@ type RetryPolicy struct {
 type Option func(*runOptions)
 
 type runOptions struct {
-	workers       int
-	retry         RetryPolicy
-	tripleTimeout time.Duration
-	speculate     bool
-	rec           *obsv.Recorder
-	onEvent       func(exec.Event)
+	workers   int
+	retry     RetryPolicy
+	speculate bool
+	rec       *obsv.Recorder
+	onEvent   func(exec.Event)
 }
 
 // WithWorkers sets the triple-pass pool size; values below 2 keep the
@@ -129,12 +128,6 @@ func WithWorkers(n int) Option { return func(o *runOptions) { o.workers = n } }
 // Passes must be idempotent for the store in use (both MemStore and
 // FileStore reads are).
 func WithRetry(p RetryPolicy) Option { return func(o *runOptions) { o.retry = p } }
-
-// WithTripleTimeout bounds each pass attempt; an expired attempt counts
-// as transient and is retried under the RetryPolicy.
-func WithTripleTimeout(d time.Duration) Option {
-	return func(o *runOptions) { o.tripleTimeout = d }
-}
 
 // WithSpeculation enables straggler re-issue: when the pool is
 // otherwise idle, the longest-running triple pass is speculatively
@@ -297,7 +290,6 @@ func Run(ctx context.Context, o *digraph.Oriented, parts int, store BlockStore, 
 			Workers:     ro.workers,
 			MaxAttempts: ro.retry.Attempts,
 			Backoff:     ro.retry.Backoff,
-			TaskTimeout: ro.tripleTimeout,
 			Speculate:   ro.speculate,
 			OnEvent:     ro.onEvent,
 		})

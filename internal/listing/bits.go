@@ -6,8 +6,8 @@ import (
 	"trilist/internal/digraph"
 )
 
-// DefaultBitRowBudget bounds the total bytes of packed bit rows the
-// bit-parallel kernels may build for one run. The budget turns the core
+// DefaultBitRowBudget bounds the total bytes of packed bit rows
+// KernelHybrid may build for one run. The budget turns the core
 // threshold into a memory/speed dial: rows are granted to the
 // highest-degree vertices first, so when the requested threshold would
 // overflow the budget it is raised until the core fits — core size
@@ -15,25 +15,6 @@ import (
 // The planner applies the same constraint to the fitted degree
 // distribution when it prices kernel=auto.
 const DefaultBitRowBudget = 64 << 20
-
-// TierStats describes how a bit-parallel run (KernelBits/KernelHybrid)
-// split its intersection work between the packed-bitset core tier and
-// the list-fallback fringe tier. It is a diagnostic side channel:
-// Stats stays bitwise kernel-invariant, TierStats deliberately does not
-// (it reflects the physical strategy, which is the whole point).
-// CorePairs/FringePairs/CoreVertices/RowBytes/Threshold are identical
-// at any worker count (they are data-determined sums); ArenaBytes sums
-// per-worker scratch and therefore grows with the worker count.
-// All fields are zero when the run used a list kernel or a non-SEI
-// method.
-type TierStats struct {
-	Threshold    int32 // effective core degree threshold τ (core ⇔ side degree ≥ τ)
-	CoreVertices int64 // vertices given a packed bit row
-	RowBytes     int64 // bytes of packed rows (shared, built once per run)
-	ArenaBytes   int64 // per-worker scratch bytes, summed over workers (any SEI kernel with an arena)
-	CorePairs    int64 // windows answered on the bit-parallel path
-	FringePairs  int64 // windows answered by the list fallback
-}
 
 // bitAdj is the shared read-only packed-bitset adjacency for the
 // high-degree core: every vertex whose remote-side degree reaches the
@@ -48,11 +29,8 @@ type TierStats struct {
 // range — and set bits decode directly to vertex ids in ascending
 // order, preserving the merge kernel's emission order.
 type bitAdj struct {
-	words    int        // uint64 words per row: ⌈n/64⌉
-	thresh   int32      // effective threshold after the budget clamp
-	core     int64      // number of vertices with a row
-	rowBytes int64      // len(backing) * 8
-	rows     [][]uint64 // rows[v] non-nil ⇔ v is core
+	thresh int32      // effective threshold after the budget clamp
+	rows   [][]uint64 // rows[v] non-nil ⇔ v is core
 }
 
 // remoteSide returns the adjacency side whose lists appear as win's
@@ -109,14 +87,14 @@ func buildBitAdj(o *digraph.Oriented, m Method, thresh int32, budget int64) *bit
 	for v := int32(0); v < int32(n); v++ {
 		hist[deg(v)]++
 	}
-	ba := &bitAdj{words: words, thresh: fitThreshold(hist, thresh, rowBytes, budget), rows: make([][]uint64, n)}
+	ba := &bitAdj{thresh: fitThreshold(hist, thresh, rowBytes, budget), rows: make([][]uint64, n)}
+	core := int64(0)
 	for v := int32(0); v < int32(n); v++ {
 		if deg(v) >= int64(ba.thresh) {
-			ba.core++
+			core++
 		}
 	}
-	backing := make([]uint64, ba.core*int64(words))
-	ba.rowBytes = int64(len(backing)) * 8
+	backing := make([]uint64, core*int64(words))
 	next := int64(0)
 	for v := int32(0); v < int32(n); v++ {
 		if deg(v) < int64(ba.thresh) {

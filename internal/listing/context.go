@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"trilist/internal/digraph"
 	"trilist/internal/obsv"
@@ -31,7 +30,6 @@ type runConfig struct {
 	rec        *obsv.Recorder
 	coreThresh int32
 	bitBudget  int64
-	tier       *TierStats
 }
 
 // WithKernel selects the intersection kernel for the run. The default
@@ -51,8 +49,8 @@ func WithRecorder(r *obsv.Recorder) Option {
 	return func(c *runConfig) { c.rec = r }
 }
 
-// WithCoreThreshold sets the core degree threshold τ for the
-// bit-parallel kernels (KernelBits/KernelHybrid): a vertex is core —
+// WithCoreThreshold sets the core degree threshold τ for
+// KernelHybrid's bit-parallel tier: a vertex is core —
 // and carries a packed bit row — iff its remote-side degree is ≥ τ.
 // τ ≤ 0 (the default) selects automatically: every non-isolated vertex
 // is a candidate and the row-memory budget raises τ until the core
@@ -62,23 +60,13 @@ func WithCoreThreshold(t int32) Option {
 	return func(c *runConfig) { c.coreThresh = t }
 }
 
-// WithBitRowBudget caps the total bytes of packed core rows for the
-// bit-parallel kernels; ≤ 0 (the default) means DefaultBitRowBudget.
+// WithBitRowBudget caps the total bytes of packed core rows for
+// KernelHybrid; ≤ 0 (the default) means DefaultBitRowBudget.
 // When the requested threshold would overflow the budget, the
 // effective τ is raised (highest degrees keep their rows) and evicted
 // vertices are served by the list fallback.
 func WithBitRowBudget(bytes int64) Option {
 	return func(c *runConfig) { c.bitBudget = bytes }
-}
-
-// WithTierStats attaches a TierStats sink: the run overwrites *ts with
-// its core/fringe split before returning. Only SEI runs under
-// KernelBits/KernelHybrid produce nonzero values; every other
-// combination writes zeros, so a reused sink never carries stale
-// numbers. The sink is written concurrently by workers during the run
-// and must not be read until the run returns.
-func WithTierStats(ts *TierStats) Option {
-	return func(c *runConfig) { c.tier = ts }
 }
 
 func applyOptions(opts []Option) runConfig {
@@ -104,11 +92,6 @@ func methodSweep(o *digraph.Oriented, m Method, visit Visitor, cfg *runConfig) (
 	if kern < 0 || kern >= numKernels {
 		panic(fmt.Sprintf("listing: unknown kernel %d", int(kern)))
 	}
-	if cfg.tier != nil {
-		// Overwritten below when the run actually builds bit rows;
-		// zeroed here so reused sinks never carry a prior run's split.
-		*cfg.tier = TierStats{}
-	}
 	n := o.NumNodes()
 	switch m.Family() {
 	case VertexIterator:
@@ -120,35 +103,16 @@ func methodSweep(o *digraph.Oriented, m Method, visit Visitor, cfg *runConfig) (
 		}, int64(set.Len())
 	case ScanningEdgeIterator:
 		var ba *bitAdj
-		if kern == KernelBits || kern == KernelHybrid {
+		if kern == KernelHybrid {
 			budget := cfg.bitBudget
 			if budget <= 0 {
 				budget = DefaultBitRowBudget
 			}
 			ba = buildBitAdj(o, m, cfg.coreThresh, budget)
-			if cfg.tier != nil {
-				cfg.tier.Threshold = ba.thresh
-				cfg.tier.CoreVertices = ba.core
-				cfg.tier.RowBytes = ba.rowBytes
-			}
 		}
-		tier := cfg.tier
 		return func() (func(lo, hi int32, s *Stats), func()) {
 			it := newIntersector(kern, n, ba)
-			release := func() {
-				if tier != nil {
-					// Arena scratch is reported for every SEI kernel (the
-					// aux-state a sweep pins beyond the CSR); the tier split
-					// only exists when bit rows were built.
-					atomic.AddInt64(&tier.ArenaBytes, it.arenaBytes())
-					if ba != nil {
-						atomic.AddInt64(&tier.CorePairs, it.corePairs)
-						atomic.AddInt64(&tier.FringePairs, it.fringePairs)
-					}
-				}
-				it.release()
-			}
-			return func(lo, hi int32, s *Stats) { runSEI(o, m, it, visit, s, lo, hi) }, release
+			return func(lo, hi int32, s *Stats) { runSEI(o, m, it, visit, s, lo, hi) }, it.release
 		}, 0
 	default:
 		return func() (func(lo, hi int32, s *Stats), func()) {

@@ -28,10 +28,6 @@ const (
 	// historical single strategy and the zero value, so existing callers
 	// keep today's behavior. O(|a| + |b|) per pair, fully sequential.
 	KernelMerge Kernel = iota
-	// KernelGallop iterates the shorter list and locates each element in
-	// the longer one by exponential (galloping) search —
-	// O(min·log(max/min)) per pair, the winner when lists are skewed.
-	KernelGallop
 	// KernelBitmap stamps the anchor's base adjacency list into a
 	// per-worker position arena once per anchor, then answers each
 	// window intersection by probing the remote list's elements in O(1)
@@ -47,42 +43,33 @@ const (
 	// scanning the remote. This adaptivity is what dominates any fixed
 	// strategy on power-law graphs.
 	KernelAuto
-	// KernelBits is the pure bit-parallel tier: every vertex whose
-	// remote-side degree reaches the core threshold (default 1, i.e.
+	// KernelHybrid is the bit-parallel tier: every vertex whose
+	// remote-side degree reaches the core threshold τ (default 1, i.e.
 	// everything, clamped by the row-memory budget) carries a packed
-	// n-bit adjacency row, the anchor's base list is stamped into a
-	// per-worker bitset, and each window intersection is a word-wise
-	// AND + popcount walk over the pair's combined value range —
-	// up to 64 candidates per elementary operation. Windows whose
-	// remote owner has no row (budget-evicted) fall back to the merge.
-	KernelBits
-	// KernelHybrid splits core/fringe by the degree threshold: a window
-	// goes bit-parallel only when the remote owner has a packed row AND
-	// the word count of the pair's clamped value range undercuts the
-	// merge volume |window|+|remote| — the dense core, where the model
-	// says the comparisons live. Everything else falls back to
-	// KernelAuto's gallop/stamp-probe adaptivity, so the fringe keeps
-	// the best list strategy.
+	// n-bit adjacency row, and the anchor's base list is stamped into a
+	// per-worker bitset. A window goes bit-parallel — a word-wise AND +
+	// popcount walk over the pair's combined value range, up to 64
+	// candidates per elementary operation — only when the remote owner
+	// has a row AND that range's word count undercuts the merge volume
+	// |window|+|remote|: the dense core, where the model says the
+	// comparisons live. Everything else falls back to KernelAuto's
+	// gallop/stamp-probe adaptivity.
 	KernelHybrid
 
 	numKernels
 )
 
 // Kernels lists all kernels in declaration order.
-var Kernels = []Kernel{KernelMerge, KernelGallop, KernelBitmap, KernelAuto, KernelBits, KernelHybrid}
+var Kernels = []Kernel{KernelMerge, KernelBitmap, KernelAuto, KernelHybrid}
 
 func (k Kernel) String() string {
 	switch k {
 	case KernelMerge:
 		return "merge"
-	case KernelGallop:
-		return "gallop"
 	case KernelBitmap:
 		return "bitmap"
 	case KernelAuto:
 		return "auto"
-	case KernelBits:
-		return "bits"
 	case KernelHybrid:
 		return "hybrid"
 	default:
@@ -100,16 +87,12 @@ func ParseKernel(s string) (Kernel, error) {
 		return KernelAuto, nil
 	case "merge", "scan":
 		return KernelMerge, nil
-	case "gallop", "galloping", "binary":
-		return KernelGallop, nil
 	case "bitmap", "stamp":
 		return KernelBitmap, nil
-	case "bits", "bitset":
-		return KernelBits, nil
 	case "hybrid":
 		return KernelHybrid, nil
 	default:
-		return 0, fmt.Errorf("unknown kernel %q (want merge, gallop, bitmap, auto, bits, or hybrid)", s)
+		return 0, fmt.Errorf("unknown kernel %q (want merge, bitmap, auto, or hybrid)", s)
 	}
 }
 
@@ -129,7 +112,7 @@ type arena struct {
 	pos   []int32  // pos[v] = index of v in the stamped base list
 	epoch []uint32 // epoch[v] == cur ⇔ v is in the stamped base list
 	cur   uint32
-	// Bit-kernel scratch, sized lazily by ensureBits: the anchor's base
+	// KernelHybrid scratch, sized lazily by ensureBits: the anchor's base
 	// list as an n-bit set. Cleared incrementally by walking the
 	// previously stamped list (bitBase), so re-stamping costs
 	// O(|prev| + |base|) with no full clears — the bitset analogue of
@@ -222,7 +205,7 @@ func upperBound(list []int32, v int32) int {
 // len(a) elements were all consumed along with the elements of b not
 // exceeding a's last element, and each of the `matches` common elements
 // consumed one step for two elements. This closed form is what lets the
-// galloping and bitmap kernels report Comparisons bitwise identical to
+// bitmap, auto and hybrid kernels report Comparisons bitwise identical to
 // the merge kernel without doing the merge.
 func mergeComps(a, b []int32, matches int64) int64 {
 	if len(a) == 0 || len(b) == 0 {
@@ -294,43 +277,30 @@ func gallopIntersect(a, b []int32, emit func(int32)) int64 {
 }
 
 // intersector is the per-worker SEI intersection engine: it carries the
-// kernel choice, the scratch arena (bitmap/auto only), and the anchor's
-// current base adjacency list, stamped lazily on first bitmap use so
-// merge- or gallop-only anchors never pay for it.
+// kernel choice, the scratch arena (every kernel but merge), and the
+// anchor's current base adjacency list, stamped lazily on first probe so
+// anchors whose windows all gallop never pay for it.
 type intersector struct {
 	kern       Kernel
 	ar         *arena
-	ba         *bitAdj // shared packed core rows; non-nil ⇔ bits/hybrid
+	ba         *bitAdj // shared packed core rows; non-nil ⇔ hybrid
 	base       []int32
 	stamped    bool // pos/epoch stamp valid for base
 	bitStamped bool // arena bitset stamp valid for base
-	// Tier accounting for bits/hybrid, folded into the run's TierStats
-	// at release.
-	corePairs   int64
-	fringePairs int64
 }
 
 // newIntersector builds one worker's engine for a graph on n nodes.
-// ba carries the shared core rows and must be non-nil exactly for the
-// bit-parallel kernels.
+// ba carries the shared core rows and must be non-nil exactly for
+// KernelHybrid.
 func newIntersector(kern Kernel, n int, ba *bitAdj) *intersector {
 	it := &intersector{kern: kern, ba: ba}
-	switch kern {
-	case KernelBitmap, KernelAuto:
+	if kern != KernelMerge {
 		it.ar = getArena(n)
-	case KernelBits, KernelHybrid:
-		it.ar = getArena(n)
+	}
+	if kern == KernelHybrid {
 		it.ar.ensureBits(n)
 	}
 	return it
-}
-
-// arenaBytes reports this worker's scratch footprint for TierStats.
-func (it *intersector) arenaBytes() int64 {
-	if it.ar == nil {
-		return 0
-	}
-	return int64(len(it.ar.pos))*4 + int64(len(it.ar.epoch))*4 + int64(len(it.ar.bits))*8
 }
 
 // release returns pooled scratch; the intersector is dead afterwards.
@@ -384,8 +354,8 @@ func (it *intersector) probe(alo, ahi int, remote []int32, emit func(int32)) int
 // ascending order, and returns the merge-equivalent comparison count —
 // identical for every kernel, so Stats.Comparisons is kernel-invariant.
 // owner is the vertex whose side adjacency the remote list is a
-// (possibly trimmed) sublist of; the bit-parallel kernels use it to
-// look up the owner's packed core row.
+// (possibly trimmed) sublist of; KernelHybrid uses it to look up the
+// owner's packed core row.
 func (it *intersector) win(alo, ahi int, owner int32, remote []int32, emit func(int32)) int64 {
 	local := it.base[alo:ahi]
 	la, lr := len(local), len(remote)
@@ -395,29 +365,16 @@ func (it *intersector) win(alo, ahi int, owner int32, remote []int32, emit func(
 	switch it.kern {
 	case KernelMerge:
 		return intersect(local, remote, emit)
-	case KernelGallop:
-		return mergeComps(local, remote, gallopIntersect(local, remote, emit))
 	case KernelBitmap:
 		it.ensureStamp()
 		return mergeComps(local, remote, it.probe(alo, ahi, remote, emit))
-	case KernelBits:
-		// Pure bit tier: word-parallel whenever the owner kept a row
-		// under the budget, classic merge for the evicted fringe.
-		if row := it.ba.rows[owner]; row != nil {
-			it.corePairs++
-			return it.bitWin(alo, ahi, row, remote, emit)
-		}
-		it.fringePairs++
-		return intersect(local, remote, emit)
 	case KernelHybrid:
 		// Core×core goes bit-parallel only when the clamped value range
 		// is cheaper in words than the merge is in comparisons; the
 		// fringe falls through to KernelAuto's adaptive list strategy.
 		if row := it.ba.rows[owner]; row != nil && spanWords(local, remote) <= la+lr {
-			it.corePairs++
 			return it.bitWin(alo, ahi, row, remote, emit)
 		}
-		it.fringePairs++
 		fallthrough
 	default: // KernelAuto: pick per pair by length ratio.
 		if la*skewRatio <= lr {
@@ -434,8 +391,8 @@ func (it *intersector) win(alo, ahi int, owner int32, remote []int32, emit func(
 }
 
 // memberSet is the per-worker LEI membership structure: the paper's
-// per-node hash set by default, or the stamp arena under the bitmap and
-// auto kernels — same probe count (Stats.Lookups and HashBuild are
+// per-node hash set under the merge kernel, or the stamp arena under
+// every other kernel — same probe count (Stats.Lookups and HashBuild are
 // length-determined), O(1) probes with no hashing or clearing.
 type memberSet struct {
 	hash *hashset.NodeSet // non-nil iff the arena is nil
@@ -443,10 +400,10 @@ type memberSet struct {
 }
 
 func newMemberSet(kern Kernel, n int) *memberSet {
-	// The bit kernels have no LEI-specific structure (lookups are
-	// single-element probes, not intersections), so they share the
-	// arena membership path with bitmap/auto.
-	if kern == KernelBitmap || kern == KernelAuto || kern == KernelBits || kern == KernelHybrid {
+	// Hybrid has no LEI-specific structure (lookups are single-element
+	// probes, not intersections), so it shares the arena membership path
+	// with bitmap/auto.
+	if kern != KernelMerge {
 		return &memberSet{ar: getArena(n)}
 	}
 	return &memberSet{hash: hashset.NewNodeSet(16)}

@@ -1,11 +1,14 @@
 package listing
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"trilist/internal/degseq"
+	"trilist/internal/digraph"
 	"trilist/internal/gen"
 	"trilist/internal/graph"
 	"trilist/internal/order"
@@ -18,9 +21,7 @@ func TestKernelStringAndParse(t *testing.T) {
 	}{
 		{"", KernelAuto}, {"auto", KernelAuto}, {"AUTO", KernelAuto},
 		{"merge", KernelMerge}, {"scan", KernelMerge},
-		{"gallop", KernelGallop}, {"galloping", KernelGallop}, {"binary", KernelGallop},
 		{"bitmap", KernelBitmap}, {"stamp", KernelBitmap},
-		{"bits", KernelBits}, {"bitset", KernelBits}, {"BITS", KernelBits},
 		{"hybrid", KernelHybrid}, {"Hybrid", KernelHybrid},
 	}
 	for _, c := range cases {
@@ -29,8 +30,15 @@ func TestKernelStringAndParse(t *testing.T) {
 			t.Errorf("ParseKernel(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
-	if _, err := ParseKernel("quantum"); err == nil {
-		t.Error("ParseKernel accepted an unknown kernel")
+	// gallop and bits (and their aliases) name no kernel: pure
+	// galloping and the pure bit tier never won a benchmark cell.
+	for _, name := range []string{"quantum", "gallop", "galloping", "binary", "bits", "bitset"} {
+		if _, err := ParseKernel(name); err == nil {
+			t.Errorf("ParseKernel accepted %q", name)
+		}
+	}
+	if want := []Kernel{KernelMerge, KernelBitmap, KernelAuto, KernelHybrid}; !slices.Equal(Kernels, want) {
+		t.Errorf("Kernels = %v, want %v", Kernels, want)
 	}
 	for _, k := range Kernels {
 		if k.String() == "" {
@@ -275,75 +283,87 @@ func TestBitTierThresholdAndStats(t *testing.T) {
 	o := orientBy(t, g, order.KindDescending, 1)
 	m := E2
 	ref := Run(o, m, nil, WithKernel(KernelMerge))
-	maxSide := int32(0)
-	for v := int32(0); v < int32(o.NumNodes()); v++ {
-		if d := int32(o.OutDeg(v)); d > maxSide {
-			maxSide = d
+	// Threshold edge cases: auto, all-core (τ=1), mid, all-fringe (τ
+	// beyond the max side degree), plus a one-byte row budget that
+	// evicts every row (the fallback path) — Stats must never move.
+	for _, tau := range []int32{0, 1, 3, maxSideDeg(o, m) + 1} {
+		if s := Run(o, m, nil, WithKernel(KernelHybrid), WithCoreThreshold(tau)); s != ref {
+			t.Fatalf("τ=%d: Stats %+v != merge %+v", tau, s, ref)
 		}
 	}
-	for _, kern := range []Kernel{KernelBits, KernelHybrid} {
-		// Threshold edge cases: auto, all-core (τ=1), mid, all-fringe
-		// (τ beyond the max side degree) — Stats must never move.
-		for _, tau := range []int32{0, 1, 3, maxSide + 1} {
-			var ts TierStats
-			s := Run(o, m, nil, WithKernel(kern), WithCoreThreshold(tau), WithTierStats(&ts))
-			if s != ref {
-				t.Fatalf("kernel %v τ=%d: Stats %+v != merge %+v", kern, tau, s, ref)
+	if s := Run(o, m, nil, WithKernel(KernelHybrid), WithBitRowBudget(1)); s != ref {
+		t.Fatalf("tight budget: Stats %+v != merge %+v", s, ref)
+	}
+}
+
+// maxSideDeg returns the largest remote-side degree under method m.
+func maxSideDeg(o *digraph.Oriented, m Method) int32 {
+	deg, _ := remoteSide(o, m)
+	maxd := int32(0)
+	for v := int32(0); v < int32(o.NumNodes()); v++ {
+		if d := int32(deg(v)); d > maxd {
+			maxd = d
+		}
+	}
+	return maxd
+}
+
+func TestBuildBitAdj(t *testing.T) {
+	p := degseq.StandardPareto(1.5)
+	g, _, err := gen.ParetoGraph(p, 600, degseq.LinearTruncation, rngFor(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := orientBy(t, g, order.KindDescending, 1)
+	rowBytes := int64((o.NumNodes() + 63) / 64 * 8)
+	for _, m := range []Method{E1, E4} {
+		deg, adj := remoteSide(o, m)
+		maxSide := maxSideDeg(o, m)
+		for _, c := range []struct {
+			tau    int32
+			budget int64
+		}{
+			{0, DefaultBitRowBudget}, {1, DefaultBitRowBudget}, {3, DefaultBitRowBudget},
+			{maxSide + 1, DefaultBitRowBudget}, {1, 1}, {1, 10 * rowBytes},
+		} {
+			ba := buildBitAdj(o, m, c.tau, c.budget)
+			if ba.thresh < 1 || ba.thresh < c.tau {
+				t.Fatalf("method %v τ=%d: effective threshold %d", m, c.tau, ba.thresh)
 			}
-			if tau == maxSide+1 {
-				if ts.CoreVertices != 0 || ts.CorePairs != 0 {
-					t.Fatalf("kernel %v τ=%d: all-fringe run reports core work %+v", kern, tau, ts)
+			core := int64(0)
+			for v := int32(0); v < int32(o.NumNodes()); v++ {
+				row := ba.rows[v]
+				if (row != nil) != (deg(v) >= int64(ba.thresh)) {
+					t.Fatalf("method %v τ=%d: vertex %d (degree %d) row %v under effective τ %d",
+						m, c.tau, v, deg(v), row != nil, ba.thresh)
+				}
+				if row == nil {
+					continue
+				}
+				core++
+				ones := 0
+				for _, w := range row {
+					ones += bits.OnesCount64(w)
+				}
+				if ones != len(adj(v)) {
+					t.Fatalf("method %v: row of %d has %d bits, degree %d", m, v, ones, len(adj(v)))
+				}
+				for _, u := range adj(v) {
+					if row[u>>6]&(1<<uint(u&63)) == 0 {
+						t.Fatalf("method %v: row of %d misses neighbor %d", m, v, u)
+					}
 				}
 			}
-			if tau == 1 && ts.CoreVertices == 0 {
-				t.Fatalf("kernel %v τ=1: no core vertices on a graph with edges", kern)
+			if core*rowBytes > c.budget {
+				t.Fatalf("method %v τ=%d budget %d: %d rows of %d bytes", m, c.tau, c.budget, core, rowBytes)
 			}
-			if ts.Threshold < 1 {
-				t.Fatalf("kernel %v τ=%d: effective threshold %d < 1", kern, tau, ts.Threshold)
+			if c.tau == maxSide+1 && core != 0 {
+				t.Fatalf("method %v τ=%d: %d rows above the max side degree", m, c.tau, core)
 			}
-			if wantRows := int64((o.NumNodes() + 63) / 64 * 8); ts.RowBytes != ts.CoreVertices*wantRows {
-				t.Fatalf("kernel %v τ=%d: RowBytes %d != CoreVertices %d × row size %d",
-					kern, tau, ts.RowBytes, ts.CoreVertices, wantRows)
+			if c.tau == 1 && c.budget == DefaultBitRowBudget && core == 0 {
+				t.Fatalf("method %v τ=1: no rows on a graph with edges", m)
 			}
 		}
-		// A one-row budget must evict almost everything (fallback path)
-		// without moving Stats, and the tier split must be identical at
-		// any worker count.
-		var tight TierStats
-		s := Run(o, m, nil, WithKernel(kern), WithBitRowBudget(1), WithTierStats(&tight))
-		if s != ref {
-			t.Fatalf("kernel %v tight budget: Stats %+v != merge %+v", kern, s, ref)
-		}
-		if tight.RowBytes > 1 {
-			t.Fatalf("kernel %v: budget 1 byte but RowBytes %d", kern, tight.RowBytes)
-		}
-		var serial, par TierStats
-		Run(o, m, nil, WithKernel(kern), WithTierStats(&serial))
-		RunParallel(o, m, 8, nil, WithKernel(kern), WithTierStats(&par))
-		if serial.CorePairs != par.CorePairs || serial.FringePairs != par.FringePairs ||
-			serial.Threshold != par.Threshold || serial.CoreVertices != par.CoreVertices {
-			t.Fatalf("kernel %v: tier split moved with workers: serial %+v parallel %+v", kern, serial, par)
-		}
-		if serial.CorePairs == 0 {
-			t.Fatalf("kernel %v: default run answered no windows on the bit path", kern)
-		}
-	}
-	// A list kernel (and a reused sink) must come back with no tier
-	// split. Merge carries no scratch at all; the adaptive kernel's
-	// arena still reports as aux-state bytes.
-	reused := TierStats{CorePairs: 99}
-	Run(o, m, nil, WithKernel(KernelMerge), WithTierStats(&reused))
-	if reused != (TierStats{}) {
-		t.Fatalf("merge kernel left TierStats %+v", reused)
-	}
-	reused = TierStats{FringePairs: 7}
-	Run(o, m, nil, WithKernel(KernelAuto), WithTierStats(&reused))
-	if reused.ArenaBytes == 0 {
-		t.Fatalf("auto kernel reported no arena scratch")
-	}
-	reused.ArenaBytes = 0
-	if reused != (TierStats{}) {
-		t.Fatalf("auto kernel left a tier split without bit rows: %+v", reused)
 	}
 }
 
@@ -426,29 +446,25 @@ func FuzzKernelsAgainstBruteForce(f *testing.F) {
 				// budget that evicts everything: triangles and Stats
 				// must match the merge kernel exactly.
 				ref := Run(o, m, nil, WithKernel(KernelMerge))
-				for _, kern := range []Kernel{KernelBits, KernelHybrid} {
-					for _, tau := range []int32{0, 1, 2, 25} {
-						got := make(map[triKey]bool)
-						s := Run(o, m, func(x, y, z int32) { got[triKey{x, y, z}] = true },
-							WithKernel(kern), WithCoreThreshold(tau))
-						if s != ref {
-							t.Fatalf("order %v method %v kernel %v τ=%d: Stats %+v != merge %+v",
-								kind, m, kern, tau, s, ref)
-						}
-						if len(got) != len(want) {
-							t.Fatalf("order %v method %v kernel %v τ=%d: %d triangles, brute force %d",
-								kind, m, kern, tau, len(got), len(want))
-						}
-						for k := range want {
-							if !got[k] {
-								t.Fatalf("order %v method %v kernel %v τ=%d: missed %v", kind, m, kern, tau, k)
-							}
+				for _, tau := range []int32{0, 1, 2, 25} {
+					got := make(map[triKey]bool)
+					s := Run(o, m, func(x, y, z int32) { got[triKey{x, y, z}] = true },
+						WithKernel(KernelHybrid), WithCoreThreshold(tau))
+					if s != ref {
+						t.Fatalf("order %v method %v τ=%d: Stats %+v != merge %+v", kind, m, tau, s, ref)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("order %v method %v τ=%d: %d triangles, brute force %d",
+							kind, m, tau, len(got), len(want))
+					}
+					for k := range want {
+						if !got[k] {
+							t.Fatalf("order %v method %v τ=%d: missed %v", kind, m, tau, k)
 						}
 					}
-					if s := Run(o, m, nil, WithKernel(kern), WithBitRowBudget(8)); s != ref {
-						t.Fatalf("order %v method %v kernel %v budget=8: Stats %+v != merge %+v",
-							kind, m, kern, s, ref)
-					}
+				}
+				if s := Run(o, m, nil, WithKernel(KernelHybrid), WithBitRowBudget(8)); s != ref {
+					t.Fatalf("order %v method %v budget=8: Stats %+v != merge %+v", kind, m, s, ref)
 				}
 			}
 		}

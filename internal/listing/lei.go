@@ -12,7 +12,7 @@ import (
 // methods, which is why LEI "can be reduced to vertex iterator in terms
 // of both operation speed and cost" and the paper's analysis folds it
 // into the VI family. The membership set is the paper's hash table by
-// default; under the bitmap/auto kernels it is the stamp arena instead,
+// default; under every other kernel it is the stamp arena instead,
 // which leaves HashBuild and Lookups (both length-determined) and the
 // triangle set untouched while replacing hashing with O(1) stamps.
 func runLEI(o *digraph.Oriented, m Method, ms *memberSet, visit Visitor, s *Stats, lo, hi int32) {

@@ -17,8 +17,8 @@
 //     never exceeds the model bound.
 //
 // Orthogonally to the method, WithKernel selects how intersections are
-// executed (merge scan, galloping, bitmap stamps, or adaptive — see
-// Kernel): a kernel changes wall-clock speed on skewed lists but never
+// executed (merge scan, bitmap stamps, adaptive, or the bit-parallel
+// hybrid — see Kernel): a kernel changes wall-clock speed on skewed lists but never
 // the triangle set, the visit order, or a single Stats meter.
 package listing
 
@@ -242,8 +242,8 @@ type Stats struct {
 	// (Table 2).
 	Lookups int64
 	// Comparisons counts the two-pointer advances of the merge-scan SEI
-	// kernel; always <= LocalScan + RemoteScan. The galloping and bitmap
-	// kernels perform fewer operations but report this same number (via
+	// kernel; always <= LocalScan + RemoteScan. The bitmap, auto and
+	// hybrid kernels perform fewer operations but report this same number (via
 	// a closed form, see mergeComps), keeping Stats kernel-invariant.
 	Comparisons int64
 	// HashBuild counts insertions: the global arc set for VI (= m) or the

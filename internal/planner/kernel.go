@@ -18,10 +18,6 @@ import (
 // (CalibrateKernels) — the paper's Table 3 "elementary operation speed"
 // measurement, automated.
 type KernelCoeffs struct {
-	// MergeNs is the cost of one two-pointer merge comparison/advance.
-	MergeNs float64 `json:"merge_ns"`
-	// GallopNs is the cost of one exponential-search probe step.
-	GallopNs float64 `json:"gallop_ns"`
 	// ProbeNs is the cost of one stamp-arena membership probe — the
 	// per-remote-element cost of the bitmap/auto kernels.
 	ProbeNs float64 `json:"probe_ns"`
@@ -38,9 +34,9 @@ var (
 
 // CalibrateKernels measures KernelCoeffs with a microbenchmark the
 // first time it is called and returns the cached value afterwards
-// (~1 ms once per process). Values are machine-dependent by design;
-// tests that need deterministic plans inject fixed coefficients via
-// SetKernelCoeffs.
+// (under 1 ms once per process). Values are machine-dependent by
+// design; tests that need deterministic plans inject fixed
+// coefficients via SetKernelCoeffs.
 func CalibrateKernels() KernelCoeffs {
 	coeffsMu.Lock()
 	defer coeffsMu.Unlock()
@@ -96,77 +92,11 @@ func measureKernelCoeffs() KernelCoeffs {
 	const L = 4096
 	a := make([]int32, L)
 	b := make([]int32, L)
-	short := make([]int32, 64)
 	for i := range a {
 		a[i] = int32(2 * i)
 		b[i] = int32(3 * i)
 	}
-	for i := range short {
-		short[i] = int32(61 * i)
-	}
 	var c KernelCoeffs
-
-	// Merge: instrumented two-pointer scan, cost per comparison.
-	var mergeComps int64
-	mergeOnce := func() int64 {
-		var i, j int
-		var comps, hits int64
-		for i < len(a) && j < len(b) {
-			comps++
-			switch {
-			case a[i] < b[j]:
-				i++
-			case a[i] > b[j]:
-				j++
-			default:
-				hits++
-				i++
-				j++
-			}
-		}
-		calSink += hits
-		return comps
-	}
-	mergeComps = mergeOnce()
-	c.MergeNs = timeOp(mergeComps, func() { calSink += mergeOnce() })
-
-	// Gallop: exponential search of each short element through b,
-	// cost per probe step (the doubling loop + binary bracket).
-	gallopOnce := func() int64 {
-		var probes int64
-		j := 0
-		for _, v := range short {
-			if j >= len(b) {
-				break
-			}
-			step := 1
-			lo, hi := j, j+1
-			for hi < len(b) && b[hi] < v {
-				lo = hi
-				step <<= 1
-				hi = lo + step
-				probes++
-			}
-			if hi > len(b) {
-				hi = len(b)
-			}
-			for lo+1 < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if b[mid] < v {
-					lo = mid
-				} else {
-					hi = mid
-				}
-				probes++
-			}
-			j = hi
-			probes++
-		}
-		calSink += int64(j)
-		return probes
-	}
-	gallopProbes := gallopOnce()
-	c.GallopNs = timeOp(gallopProbes, func() { calSink += gallopOnce() })
 
 	// Stamp probe: epoch check + bounds check per remote element.
 	epoch := make([]uint32, 3*L)

@@ -13,7 +13,7 @@ import (
 func TestCalibrateKernelsSaneAndCached(t *testing.T) {
 	c := CalibrateKernels()
 	for name, v := range map[string]float64{
-		"merge_ns": c.MergeNs, "gallop_ns": c.GallopNs, "probe_ns": c.ProbeNs, "word_ns": c.WordNs,
+		"probe_ns": c.ProbeNs, "word_ns": c.WordNs,
 	} {
 		if !(v > 0) || math.IsInf(v, 0) || math.IsNaN(v) {
 			t.Errorf("%s = %v, want positive finite", name, v)
@@ -29,7 +29,7 @@ func TestCalibrateKernelsSaneAndCached(t *testing.T) {
 
 func TestSetKernelCoeffsRestore(t *testing.T) {
 	orig := CalibrateKernels()
-	inj := KernelCoeffs{MergeNs: 1, GallopNs: 2, ProbeNs: 3, WordNs: 4}
+	inj := KernelCoeffs{ProbeNs: 3, WordNs: 4}
 	restore := SetKernelCoeffs(inj)
 	if got := CalibrateKernels(); got != inj {
 		t.Fatalf("after SetKernelCoeffs got %+v, want %+v", got, inj)
@@ -49,7 +49,7 @@ func TestPlanKernelPricedChoice(t *testing.T) {
 
 	// Cheap words on a heavy tail: the core carries most of the d²
 	// mass, so the hybrid must clear the margin.
-	restore := SetKernelCoeffs(KernelCoeffs{MergeNs: 1, GallopNs: 1.5, ProbeNs: 1, WordNs: 0.01})
+	restore := SetKernelCoeffs(KernelCoeffs{ProbeNs: 1, WordNs: 0.01})
 	defer restore()
 	p, err := ComputeDist(heavy, nodes)
 	if err != nil {
@@ -73,7 +73,7 @@ func TestPlanKernelPricedChoice(t *testing.T) {
 	}
 
 	// Absurdly expensive words: the bit tier can never win.
-	restore2 := SetKernelCoeffs(KernelCoeffs{MergeNs: 1, GallopNs: 1.5, ProbeNs: 1, WordNs: 1e6})
+	restore2 := SetKernelCoeffs(KernelCoeffs{ProbeNs: 1, WordNs: 1e6})
 	defer restore2()
 	p, err = ComputeDist(heavy, nodes)
 	if err != nil {
@@ -92,7 +92,7 @@ func TestPlanKernelPricedChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restore3 := SetKernelCoeffs(KernelCoeffs{MergeNs: 1, GallopNs: 1.5, ProbeNs: 1, WordNs: 0.01})
+	restore3 := SetKernelCoeffs(KernelCoeffs{ProbeNs: 1, WordNs: 0.01})
 	defer restore3()
 	p, err = ComputeDist(light, 1_000_000)
 	if err != nil {
@@ -108,7 +108,7 @@ func TestPlanKernelPricedChoice(t *testing.T) {
 }
 
 func TestComputeCarriesKernelPlanAndView(t *testing.T) {
-	restore := SetKernelCoeffs(KernelCoeffs{MergeNs: 1, GallopNs: 1.5, ProbeNs: 1, WordNs: 0.05})
+	restore := SetKernelCoeffs(KernelCoeffs{ProbeNs: 1, WordNs: 0.05})
 	defer restore()
 	g, _, err := gen.ParetoGraph(degseq.StandardPareto(1.5), 2000, degseq.LinearTruncation, stats.NewRNGFromSeed(11))
 	if err != nil {

@@ -57,8 +57,8 @@ type JobSpec struct {
 	// Order, Kernel and Parts resolve by the table on core.Resolve; a
 	// rejected combination answers 400.
 	Order string `json:"order,omitempty"`
-	// Kernel is the intersection kernel: "merge", "gallop", "bitmap",
-	// "bits", "hybrid", or "auto" (default). Kernels change only
+	// Kernel is the intersection kernel: "merge", "bitmap", "hybrid",
+	// or "auto" (default). Kernels change only
 	// wall-clock speed. On planner-driven jobs "auto" may resolve to the
 	// plan's priced kernel, reported as planned_kernel.
 	Kernel string `json:"kernel,omitempty"`
@@ -530,15 +530,7 @@ func (mgr *Manager) runJob(j *Job) {
 		method, kern := j.cfg.Method.String(), j.cfg.Kernel.String()
 		mgr.m.jobDuration.With(method).Observe(time.Since(start).Seconds())
 		mgr.m.kernelDuration.With(kern).Observe(time.Since(start).Seconds())
-		mgr.m.jobsByKernel.With(kern).Inc()
 		mgr.m.trianglesListed.Add(res.Triangles)
-		if j.cfg.Kernel == listing.KernelBits || j.cfg.Kernel == listing.KernelHybrid {
-			// TierStats are zeroed unless the sweep actually built the
-			// bit tier, so the gauge tracks the latest bit-parallel run.
-			mgr.m.kernelCoreVertices.Set(res.Tier.CoreVertices)
-			mgr.m.kernelTierTotal.With("core").Add(res.Tier.CorePairs)
-			mgr.m.kernelTierTotal.With("fringe").Add(res.Tier.FringePairs)
-		}
 		for stage, ss := range snap {
 			mgr.m.stageDuration.With(string(stage)).Observe(ss.Wall.Seconds())
 		}

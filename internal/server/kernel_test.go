@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"strings"
 	"testing"
 
 	"trilist/internal/listing"
@@ -23,7 +22,7 @@ func TestJobKernelSelectionAndMetrics(t *testing.T) {
 	if ref.Kernel != "auto" {
 		t.Fatalf("default kernel = %q, want auto", ref.Kernel)
 	}
-	for _, kern := range []string{"merge", "gallop", "bitmap", "auto", "bits", "hybrid"} {
+	for _, kern := range []string{"merge", "bitmap", "auto", "hybrid"} {
 		code, v := e.postJob(t, JobSpec{Graph: gi.ID, Method: "E1", Kernel: kern, Wait: true})
 		if code != http.StatusOK {
 			t.Fatalf("kernel %s: status %d", kern, code)
@@ -37,53 +36,22 @@ func TestJobKernelSelectionAndMetrics(t *testing.T) {
 		}
 	}
 
-	code, _ = e.postJob(t, JobSpec{Graph: gi.ID, Method: "E1", Kernel: "quantum"})
-	if code != http.StatusBadRequest {
-		t.Fatalf("unknown kernel accepted with status %d", code)
+	// Unknown names answer 400, gallop and bits included.
+	for _, kern := range []string{"quantum", "gallop", "bits"} {
+		code, _ = e.postJob(t, JobSpec{Graph: gi.ID, Method: "E1", Kernel: kern})
+		if code != http.StatusBadRequest {
+			t.Fatalf("kernel %q accepted with status %d", kern, code)
+		}
 	}
 
-	// Per-kernel counters: 2 auto jobs (default + explicit) and 1 each of
-	// the rest; the duration histogram must expose the same labels.
+	// Per-kernel sweep counts: 2 auto jobs (default + explicit) and 1
+	// each of the rest.
 	text := e.metricsText(t)
-	for label, want := range map[string]int64{"auto": 2, "merge": 1, "gallop": 1, "bitmap": 1, "bits": 1, "hybrid": 1} {
-		name := `trid_jobs_kernel_total{kernel="` + label + `"}`
+	for label, want := range map[string]int64{"auto": 2, "merge": 1, "bitmap": 1, "hybrid": 1} {
+		name := `trid_kernel_duration_seconds_count{kernel="` + label + `"}`
 		if got := metricValue(t, text, name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
-		if !strings.Contains(text, `trid_kernel_duration_seconds_count{kernel="`+label+`"}`) {
-			t.Errorf("kernel duration histogram missing label %q", label)
-		}
-	}
-}
-
-// TestKernelTierExposition is the golden test for the bit-tier metric
-// families: deterministic observations must render exactly these
-// exposition lines.
-func TestKernelTierExposition(t *testing.T) {
-	m := newServerMetrics()
-	m.kernelCoreVertices.Set(1234)
-	m.kernelTierTotal.With("core").Add(10)
-	m.kernelTierTotal.With("fringe").Add(3)
-
-	var sb strings.Builder
-	if err := m.registry.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
-
-	if got := extractFamily(text, "trid_kernel_core_vertices"); got != `# HELP trid_kernel_core_vertices Vertices holding packed bit rows (degree ≥ τ) in the most recent bits/hybrid sweep.
-# TYPE trid_kernel_core_vertices gauge
-trid_kernel_core_vertices 1234
-` {
-		t.Errorf("core-vertices family mismatch:\n%s", got)
-	}
-
-	if got := extractFamily(text, "trid_kernel_tier_total"); got != `# HELP trid_kernel_tier_total Intersection windows executed by bits/hybrid sweeps, per tier (core = bit-parallel path, fringe = list fallback).
-# TYPE trid_kernel_tier_total counter
-trid_kernel_tier_total{tier="core"} 10
-trid_kernel_tier_total{tier="fringe"} 3
-` {
-		t.Errorf("tier family mismatch:\n%s", got)
 	}
 }
 
@@ -101,7 +69,7 @@ type kernelPlanView struct {
 // kernel choice, and its name round-trips through the job API's parser.
 func TestGraphPlanKernelView(t *testing.T) {
 	// Pin the calibration so the priced choice is host-independent.
-	restore := planner.SetKernelCoeffs(planner.KernelCoeffs{MergeNs: 1, GallopNs: 1.5, ProbeNs: 1, WordNs: 0.01})
+	restore := planner.SetKernelCoeffs(planner.KernelCoeffs{ProbeNs: 1, WordNs: 0.01})
 	defer restore()
 
 	e := newTestEnv(t, Options{})
@@ -139,7 +107,7 @@ func TestGraphPlanKernelView(t *testing.T) {
 // scanning-edge iterator; explicit kernel names execute as named and
 // never report planned_kernel.
 func TestKernelAutoResolution(t *testing.T) {
-	restore := planner.SetKernelCoeffs(planner.KernelCoeffs{MergeNs: 1, GallopNs: 1.5, ProbeNs: 1, WordNs: 0.01})
+	restore := planner.SetKernelCoeffs(planner.KernelCoeffs{ProbeNs: 1, WordNs: 0.01})
 	defer restore()
 
 	e := newTestEnv(t, Options{})
@@ -188,9 +156,9 @@ func TestKernelAutoResolution(t *testing.T) {
 	}
 
 	// Explicit kernel names bypass pricing even on planner-driven jobs.
-	code, jv := e.postJob(t, JobSpec{Graph: info.ID, Kernel: "gallop", Wait: true})
-	if code != http.StatusOK || jv.Kernel != "gallop" || jv.PlannedKernel != "" {
-		t.Errorf("explicit gallop on auto method: code=%d kernel=%q planned_kernel=%q",
+	code, jv := e.postJob(t, JobSpec{Graph: info.ID, Kernel: "bitmap", Wait: true})
+	if code != http.StatusOK || jv.Kernel != "bitmap" || jv.PlannedKernel != "" {
+		t.Errorf("explicit bitmap on auto method: code=%d kernel=%q planned_kernel=%q",
 			code, jv.Kernel, jv.PlannedKernel)
 	}
 	// Explicit-method jobs never consult the planner, kernel included.
@@ -198,41 +166,5 @@ func TestKernelAutoResolution(t *testing.T) {
 	if code != http.StatusOK || jv.Kernel != "auto" || jv.PlannedKernel != "" {
 		t.Errorf("explicit E2 + default kernel: code=%d kernel=%q planned_kernel=%q",
 			code, jv.Kernel, jv.PlannedKernel)
-	}
-}
-
-// TestKernelTierMetricsFromJob: a bit-parallel job feeds the tier
-// meters — the core size gauge is set, windows land in the tier
-// counters, and list-kernel jobs leave both untouched.
-func TestKernelTierMetricsFromJob(t *testing.T) {
-	e := newTestEnv(t, Options{})
-	info := e.register(t, erGraphText(t, 300, 2000, 5))
-
-	code, jv := e.postJob(t, JobSpec{Graph: info.ID, Method: "E2", Kernel: "bits", Wait: true})
-	if code != http.StatusOK || jv.Status != string(JobDone) {
-		t.Fatalf("bits job: code=%d view=%+v", code, jv)
-	}
-	if jv.Kernel != "bits" {
-		t.Errorf("job kernel = %q, want bits", jv.Kernel)
-	}
-
-	text := e.metricsText(t)
-	// Default τ puts every vertex with a remote list in the core on a
-	// 300-node graph — far inside the 64 MiB row budget.
-	if got := metricValue(t, text, "trid_kernel_core_vertices"); got <= 0 {
-		t.Errorf("trid_kernel_core_vertices = %d, want > 0", got)
-	}
-	tiers := extractFamily(text, "trid_kernel_tier_total")
-	if !strings.Contains(tiers, `tier="core"`) {
-		t.Errorf("tier counter missing core samples:\n%s", tiers)
-	}
-
-	// A list-kernel job must leave the tier meters untouched.
-	before := tiers
-	if code, _ := e.postJob(t, JobSpec{Graph: info.ID, Method: "E2", Kernel: "merge", Wait: true}); code != http.StatusOK {
-		t.Fatalf("merge job failed: %d", code)
-	}
-	if after := extractFamily(e.metricsText(t), "trid_kernel_tier_total"); after != before {
-		t.Errorf("merge job moved tier counters:\n--- before ---\n%s--- after ---\n%s", before, after)
 	}
 }
